@@ -29,7 +29,7 @@ fn bench_spmv(c: &mut Criterion) {
     let mut y = vec![0.0f64; a.rows()];
     let bcsr = Bcsr::from_csr(&a, 2, 2).expect("valid block");
     // Deep (paper "16.4.2") and flat single-level hierarchies: both are
-    // driven through the directory-backed line cursors.
+    // decoded by the directory-seeded top-down walker.
     let sm = SmashMatrix::encode(
         &a,
         SmashConfig::row_major(&[2, 4, 16]).expect("paper config"),

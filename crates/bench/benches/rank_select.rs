@@ -84,8 +84,8 @@ fn bench_select(c: &mut Criterion) {
     group.finish();
 }
 
-/// Seeking one row of a compressed matrix: directory cursor vs expanding
-/// the whole logical Bitmap-0 first.
+/// Seeking one row of a compressed matrix: the directory-seeded walker vs
+/// expanding the whole logical Bitmap-0 first.
 fn bench_row_seek(c: &mut Criterion) {
     let mut group = c.benchmark_group("row_seek");
     group
@@ -102,10 +102,9 @@ fn bench_row_seek(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0usize;
             for &r in rows {
-                // O(1) seek + walk of just that row's blocks.
-                for (ordinal, logical) in sm.line_cursor(black_box(r)) {
-                    acc += ordinal + logical;
-                }
+                // O(levels) seek + top-down walk of just that row's blocks.
+                let r = black_box(r);
+                sm.for_each_block_in(r..r + 1, |_, col, ordinal| acc += ordinal + col);
             }
             acc
         })

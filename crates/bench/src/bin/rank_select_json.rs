@@ -61,7 +61,7 @@ fn main() {
         ks.iter().map(|&k| bm.iter_ones().nth(k).unwrap()).sum()
     });
 
-    // --- Row seek: directory cursor vs full expansion. -------------------
+    // --- Row seek: one-row walker vs full expansion. ---------------------
     let a = generators::clustered(4096, 4096, 120_000, 6, 17);
     let sm = SmashMatrix::encode(
         &a,
@@ -71,7 +71,12 @@ fn main() {
     let rows: Vec<usize> = (0..16).map(|i| (i * 509) % 4096).collect();
     let seek_directory_ns = time_ns(50, || {
         rows.iter()
-            .map(|&r| sm.line_cursor(r).map(|(o, l)| o + l).sum::<usize>())
+            .map(|&r| {
+                // O(levels) seek, then a top-down walk of just that row.
+                let mut acc = 0usize;
+                sm.for_each_block_in(r..r + 1, |_, col, ordinal| acc += ordinal + col);
+                acc
+            })
             .sum()
     });
     let seek_expand_ns = time_ns(2, || {

@@ -1,21 +1,25 @@
-//! O(1) random access into the compressed hierarchy: the software
-//! analogue of the BMU's per-matrix `bmapinfo` state.
+//! O(1) random access into the compressed hierarchy, and the one
+//! top-down walker every SMASH kernel decodes through: the software
+//! analogue of the BMU's per-matrix `bmapinfo` state and its per-level
+//! scan (paper §4–5).
 //!
 //! Historically every kernel that needed per-line addressing expanded the
 //! *entire* logical Bitmap-0 (`BitmapHierarchy::expand_full`) — O(dense
 //! size) auxiliary memory and scan time per call. [`LineDirectory`]
-//! replaces that: built once per matrix, it maps each block-line to its
-//! starting NZA ordinal and its cursor into the *stored* (compacted)
-//! level-0 bitmap, backed by per-level [`RankIndex`]es. Any line of the
-//! compressed matrix is then reachable in O(1) without touching preceding
-//! rows, and [`LineCursor`] walks one line's non-zero blocks with
-//! word-level count-trailing-zeros over the stored words — no per-bit
-//! `get()`, no expansion.
+//! replaces that: built once per matrix, it holds per-level
+//! [`RankIndex`]es and each line's starting NZA ordinal. A walk over any
+//! line range seeks one cursor per level in O(levels) and then scans the
+//! hierarchy top-down, as the BMU does: for every set parent bit it
+//! visits only that parent's child group, with aligned word loads and
+//! count-trailing-zeros, and keeps a running stored-bit count per level
+//! to address the next child group — no `select`, no per-bit `get()`, no
+//! division per block, no expansion.
 //!
 //! Auxiliary memory is O(lines + stored-bits / 512) instead of O(logical
 //! bits): sublinear in the dense matrix size.
 
-use crate::{Bitmap, BitmapHierarchy, RankIndex};
+use crate::{BitmapHierarchy, RankIndex, MAX_LEVELS};
+use std::ops::Range;
 
 /// Per-matrix directory for O(1) row seeks into the compressed form.
 ///
@@ -34,10 +38,14 @@ use crate::{Bitmap, BitmapHierarchy, RankIndex};
 /// let a = generators::banded(64, 64, 3, 300, 1);
 /// let sm = SmashMatrix::encode(&a, SmashConfig::row_major(&[2, 4, 16])?);
 /// // Row 40's blocks, without expanding Bitmap-0:
-/// for (ordinal, logical) in sm.line_cursor(40) {
-///     assert_eq!(logical / sm.blocks_per_line(), 40);
-///     assert!(ordinal < sm.num_blocks());
-/// }
+/// let first = sm.directory().start_ordinal(40);
+/// let mut seen = 0;
+/// sm.for_each_block_in(40..41, |row, col, ordinal| {
+///     assert_eq!((row, ordinal), (40, first + seen));
+///     assert!(col < 64);
+///     seen += 1;
+/// });
+/// assert_eq!(seen, sm.directory().blocks_in_line(40));
 /// # Ok::<(), smash_core::SmashError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,9 +54,6 @@ pub struct LineDirectory {
     level_ranks: Vec<RankIndex>,
     /// Starting NZA block ordinal of each line (length `lines + 1`).
     starts: Vec<u32>,
-    /// Starting position of each line in the *stored* level-0 bitmap
-    /// (length `lines + 1`).
-    stored_starts: Vec<u64>,
     /// Level-0 bits per line.
     bpl: usize,
 }
@@ -73,17 +78,14 @@ impl LineDirectory {
         let mut dir = LineDirectory {
             level_ranks,
             starts: Vec::with_capacity(lines + 1),
-            stored_starts: Vec::with_capacity(lines + 1),
             bpl,
         };
         let stored0 = h.stored_level(0);
         for line in 0..lines {
             let (pos, _) = dir.locate(h, 0, line * bpl);
-            dir.stored_starts.push(pos as u64);
             dir.starts
                 .push(dir.level_ranks[0].rank(stored0, pos) as u32);
         }
-        dir.stored_starts.push(stored0.len() as u64);
         dir.starts.push(dir.level_ranks[0].ones() as u32);
         dir
     }
@@ -125,36 +127,139 @@ impl LineDirectory {
         (self.starts[line + 1] - self.starts[line]) as usize
     }
 
-    /// Word-level cursor over line `l`'s non-zero blocks.
+    /// The top-down walk behind
+    /// [`SmashMatrix::for_each_block_in`](crate::SmashMatrix::for_each_block_in):
+    /// calls `f(line, offset, ordinal)` for every non-zero block of
+    /// `lines`, in storage order, where `offset` is the block's first
+    /// element within its line (`block_in_line * b0`) and `ordinal` its
+    /// NZA block index.
     ///
+    /// Seeding costs one [`RankIndex::rank`] per level. From there each
+    /// level keeps a cursor — the stored span still to scan, the offset
+    /// from stored to logical index, and the running count of set bits
+    /// already passed — so a set parent bit addresses its child group
+    /// directly (`count * ratio`). The line is tracked incrementally.
     /// `h` must be the hierarchy the directory was built from.
     ///
     /// # Panics
     ///
-    /// Panics if `line >= line_count()` or the hierarchy's level count
-    /// disagrees with the directory.
-    pub fn cursor<'a>(&'a self, h: &'a BitmapHierarchy, line: usize) -> LineCursor<'a> {
-        assert!(line < self.line_count(), "line {line} out of range");
-        assert_eq!(
-            h.num_levels(),
-            self.level_ranks.len(),
+    /// Panics if `lines` runs past `line_count()` or the hierarchy has a
+    /// different level count than the directory (or more than
+    /// [`MAX_LEVELS`]).
+    #[inline]
+    pub(crate) fn for_each_block_in<F: FnMut(usize, usize, usize)>(
+        &self,
+        h: &BitmapHierarchy,
+        lines: Range<usize>,
+        b0: usize,
+        mut f: F,
+    ) {
+        assert!(
+            lines.start <= lines.end && lines.end <= self.line_count(),
+            "line range {lines:?} out of range {}",
+            self.line_count()
+        );
+        let levels = h.num_levels();
+        assert!(
+            levels == self.level_ranks.len() && levels <= MAX_LEVELS,
             "directory built from a different hierarchy"
         );
-        LineCursor {
-            stored0: h.stored_level(0),
-            dir: self,
-            h,
-            group: if h.num_levels() == 1 {
-                // Single level: stored == logical, no group mapping.
-                None
-            } else {
-                Some(h.ratios()[1] as usize)
-            },
-            cur: self.stored_starts[line] as usize,
-            end: self.stored_starts[line + 1] as usize,
-            ordinal: self.starts[line] as usize,
-            cached_group: usize::MAX,
-            cached_base: 0,
+        let bpl = self.bpl;
+        if lines.is_empty() || bpl == 0 {
+            return;
+        }
+        let top = levels - 1;
+        let ratios = h.ratios();
+        // Logical bounds of the range at every level: `lo` rounds down,
+        // `hi` up, so each level covers every ancestor of a block in range.
+        let mut lo = [0usize; MAX_LEVELS];
+        let mut hi = [0usize; MAX_LEVELS];
+        lo[0] = lines.start * bpl;
+        hi[0] = lines.end * bpl;
+        for l in 1..levels {
+            let g = ratios[l] as usize;
+            lo[l] = lo[l - 1] / g;
+            hi[l] = hi[l - 1].div_ceil(g);
+        }
+        // Per-level cursor: the stored span `pos..end` left to scan, the
+        // logical index of stored bit `s` (`s + delta`), and the number of
+        // set bits before `pos` (the rank that addresses child groups).
+        let mut pos = [0usize; MAX_LEVELS];
+        let mut end = [0usize; MAX_LEVELS];
+        let mut delta = [0usize; MAX_LEVELS];
+        let mut ones = [0usize; MAX_LEVELS];
+        pos[top] = lo[top];
+        end[top] = hi[top];
+        // Seed the counts at the first stored position each level's walk
+        // reaches: the position of `lo[l]` when its group is stored, else
+        // the start of the next stored group (its insertion point).
+        let mut p = lo[top];
+        let mut stored = true;
+        for l in (1..levels).rev() {
+            ones[l] = self.level_ranks[l].rank(h.stored_level(l), p);
+            stored = stored && h.stored_level(l).get(p);
+            let g = ratios[l] as usize;
+            p = ones[l] * g + if stored { lo[l - 1] - lo[l] * g } else { 0 };
+        }
+        let words0 = h.stored_level(0).words();
+        let mut ordinal = self.starts[lines.start] as usize;
+        let mut line = lines.start;
+        let mut line_end = lo[0] + bpl;
+        // Every level-0 bit the walk reaches is a block; `j` is its
+        // logical index.
+        let mut emit = |j: usize| {
+            while j >= line_end {
+                line += 1;
+                line_end += bpl;
+            }
+            f(line, (j + bpl - line_end) * b0, ordinal);
+            ordinal += 1;
+        };
+        if top == 0 {
+            for_each_one_in(words0, lo[0], hi[0], &mut emit);
+            return;
+        }
+        let (words1, g0) = (h.stored_level(1).words(), ratios[1] as usize);
+        let mut l = top;
+        loop {
+            if l == 1 {
+                // The hot loop: the two lowest levels as nested scans, each
+                // set level-1 bit opening its level-0 child group in place.
+                let d1 = delta[1];
+                let mut k = ones[1];
+                for_each_one_in(words1, pos[1], end[1], |s| {
+                    let (base, first) = ((s + d1) * g0, k * g0);
+                    k += 1;
+                    let from = first + base.max(lo[0]) - base;
+                    let to = first + (base + g0).min(hi[0]) - base;
+                    let d0 = base - first;
+                    for_each_one_in(words0, from, to, |s0| emit(s0 + d0));
+                });
+                ones[1] = k;
+                if top == 1 {
+                    return;
+                }
+                l = 2;
+                continue;
+            }
+            match next_one_in(h.stored_level(l).words(), pos[l], end[l]) {
+                None if l == top => return,
+                None => l += 1,
+                Some(s) => {
+                    // Descend into the child group of stored bit `s`: the
+                    // `ones[l]`-th stored group of level `l - 1`, clipped
+                    // to the range.
+                    pos[l] = s + 1;
+                    let g = ratios[l] as usize;
+                    let first = ones[l] * g;
+                    ones[l] += 1;
+                    let base = (s + delta[l]) * g;
+                    pos[l - 1] = first + base.max(lo[l - 1]) - base;
+                    end[l - 1] = first + (base + g).min(hi[l - 1]) - base;
+                    delta[l - 1] = base - first;
+                    l -= 1;
+                }
+            }
         }
     }
 
@@ -196,7 +301,6 @@ impl LineDirectory {
             .map(RankIndex::aux_bytes)
             .sum::<usize>()
             + self.starts.len() * std::mem::size_of::<u32>()
-            + self.stored_starts.len() * std::mem::size_of::<u64>()
     }
 
     /// Maps logical bit `j` of `level` to its position in the stored
@@ -237,63 +341,58 @@ impl LineDirectory {
     }
 }
 
-/// Iterator over one line's non-zero blocks, yielding
-/// `(nza_ordinal, logical_level0_index)` in block order.
-///
-/// The cursor scans the *stored* level-0 words with count-trailing-zeros
-/// (no per-bit `get()`, no expansion) and recovers each block's logical
-/// position through one upward select chain per stored group — amortized
-/// O(1) per block. Produced by [`LineDirectory::cursor`] /
-/// [`SmashMatrix::line_cursor`](crate::SmashMatrix::line_cursor).
-#[derive(Debug, Clone)]
-pub struct LineCursor<'a> {
-    stored0: &'a Bitmap,
-    dir: &'a LineDirectory,
-    h: &'a BitmapHierarchy,
-    /// Stored level-0 group size (`ratios[1]`), or `None` for
-    /// single-level hierarchies where stored == logical.
-    group: Option<usize>,
-    cur: usize,
-    end: usize,
-    ordinal: usize,
-    cached_group: usize,
-    cached_base: usize,
+/// The words of `words` covering bits `[from, to)` (non-empty), each as
+/// `(first bit index, word masked to the span)`.
+#[inline(always)]
+fn span_words(words: &[u64], from: usize, to: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+    let (first, last) = (from / 64, (to - 1) / 64);
+    let (lo, hi) = (u64::MAX << (from % 64), u64::MAX >> (63 - (to - 1) % 64));
+    words[first..=last]
+        .iter()
+        .zip(first..)
+        .map(move |(&word, w)| {
+            let mut m = word;
+            if w == first {
+                m &= lo;
+            }
+            if w == last {
+                m &= hi;
+            }
+            (w * 64, m)
+        })
 }
 
-impl Iterator for LineCursor<'_> {
-    type Item = (usize, usize);
-
-    fn next(&mut self) -> Option<(usize, usize)> {
-        let s = self.stored0.next_one(self.cur).filter(|&s| s < self.end)?;
-        self.cur = s + 1;
-        let logical = match self.group {
-            None => s,
-            Some(g) => {
-                let k = s / g;
-                if k != self.cached_group {
-                    self.cached_group = k;
-                    let parent_pos = self.dir.level_ranks[1]
-                        .select(self.h.stored_level(1), k)
-                        .expect("stored group always has a set parent bit");
-                    self.cached_base = self.dir.stored_to_logical(self.h, 1, parent_pos) * g;
-                }
-                self.cached_base + s % g
-            }
-        };
-        let ordinal = self.ordinal;
-        self.ordinal += 1;
-        Some((ordinal, logical))
+/// Calls `f(s)` for every set bit `s` of `words` in `[from, to)`, in
+/// order: one aligned load per word, count-trailing-zeros to find a bit,
+/// clear-lowest-bit to drop it (the §4.4 software scan).
+#[inline(always)]
+fn for_each_one_in(words: &[u64], from: usize, to: usize, mut f: impl FnMut(usize)) {
+    if from >= to {
+        return;
     }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        // Between 0 (tail bits may be clear) and the stored span.
-        (0, Some(self.end.saturating_sub(self.cur)))
+    for (base, mut m) in span_words(words, from, to) {
+        while m != 0 {
+            f(base + m.trailing_zeros() as usize);
+            m &= m - 1;
+        }
     }
+}
+
+/// Position of the first set bit of `words` in `[from, to)`.
+#[inline(always)]
+fn next_one_in(words: &[u64], from: usize, to: usize) -> Option<usize> {
+    if from >= to {
+        return None;
+    }
+    span_words(words, from, to)
+        .find(|&(_, m)| m != 0)
+        .map(|(base, m)| base + m.trailing_zeros() as usize)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Bitmap;
 
     fn bm(bits: &[usize], len: usize) -> Bitmap {
         let mut b = Bitmap::zeros(len);
@@ -303,38 +402,55 @@ mod tests {
         b
     }
 
-    /// Oracle: the cursor must agree with filtering the expanded bitmap.
+    /// Walks `lines` and returns `(line, block_in_line, ordinal)` triples.
+    fn walk(dir: &LineDirectory, h: &BitmapHierarchy, lines: Range<usize>) -> Vec<[usize; 3]> {
+        let mut got = Vec::new();
+        dir.for_each_block_in(h, lines, 1, |line, blk, ordinal| {
+            got.push([line, blk, ordinal])
+        });
+        got
+    }
+
+    /// Oracle: the walker must agree with filtering the expanded bitmap,
+    /// over every line range `r0..r1` (empty ones included).
     fn check_against_expansion(h: &BitmapHierarchy, lines: usize, bpl: usize) {
         let dir = LineDirectory::build(h, lines, bpl);
         let full = h.expand_full(0);
-        let all: Vec<usize> = full.iter_ones().collect();
+        let all: Vec<[usize; 3]> = full
+            .iter_ones()
+            .enumerate()
+            .map(|(o, l)| [l / bpl, l % bpl, o])
+            .collect();
         let mut expect_ord = 0usize;
         for line in 0..lines {
-            let want: Vec<(usize, usize)> = all
-                .iter()
-                .enumerate()
-                .filter(|(_, &l)| l / bpl == line)
-                .map(|(o, &l)| (o, l))
-                .collect();
-            let got: Vec<(usize, usize)> = dir.cursor(h, line).collect();
-            assert_eq!(got, want, "line {line}");
+            let want: Vec<[usize; 3]> = all.iter().copied().filter(|t| t[0] == line).collect();
             assert_eq!(dir.start_ordinal(line), expect_ord);
             assert_eq!(dir.blocks_in_line(line), want.len());
             expect_ord += want.len();
+        }
+        for r0 in 0..=lines {
+            for r1 in r0..=lines {
+                let want: Vec<[usize; 3]> = all
+                    .iter()
+                    .copied()
+                    .filter(|t| (r0..r1).contains(&t[0]))
+                    .collect();
+                assert_eq!(walk(&dir, h, r0..r1), want, "lines {r0}..{r1}");
+            }
         }
         // Logical rank/select agree with the expansion too.
         for logical in 0..=h.logical_bits(0) {
             assert_eq!(dir.block_rank(h, logical), full.rank(logical));
         }
-        for (k, &l) in all.iter().enumerate() {
-            assert_eq!(dir.block_select(h, k), Some(l));
+        for (k, t) in all.iter().enumerate() {
+            assert_eq!(dir.block_select(h, k), Some(t[0] * bpl + t[1]));
         }
         assert_eq!(dir.block_select(h, all.len()), None);
     }
 
     #[test]
     fn cursor_matches_expansion_across_shapes() {
-        // (bits, len, lines, bpl, ratios)
+        // (bits, len, lines, ratios)
         let cases: Vec<(Vec<usize>, usize, usize, Vec<u32>)> = vec![
             (vec![0, 2, 13], 16, 4, vec![2, 4]),
             (vec![3, 17, 40, 41, 63], 64, 8, vec![2, 4, 4]),
@@ -343,9 +459,14 @@ mod tests {
             (vec![9], 10, 2, vec![2, 4]),
             (vec![0, 299], 300, 10, vec![2, 8, 8]),
             (vec![5, 6, 7], 40, 5, vec![2]), // single level
+            ((0..200).filter(|i| i % 3 != 1).collect(), 200, 2, vec![2]),
+            ((0..130).step_by(7).collect(), 260, 2, vec![2, 64, 2]),
+            (vec![0, 64, 65, 127, 128], 192, 3, vec![2, 128]),
+            (vec![], 0, 7, vec![2, 4]), // zero columns
+            (vec![], 0, 0, vec![2]),    // empty matrix
         ];
         for (bits, len, lines, ratios) in cases {
-            let bpl = len / lines;
+            let bpl = len.checked_div(lines).unwrap_or(0);
             let h = BitmapHierarchy::from_level0(&bm(&bits, len), &ratios).unwrap();
             check_against_expansion(&h, lines, bpl);
         }
@@ -353,10 +474,30 @@ mod tests {
 
     #[test]
     fn cursor_handles_groups_straddling_lines() {
-        // bpl = 3 with ratio-4 groups: every group crosses a line border.
+        // bpl = 3 with ratio-4 groups: every group crosses a line border,
+        // so most ranges start and end mid-group.
         let bits: Vec<usize> = (0..60).filter(|i| i % 5 != 2).collect();
         let h = BitmapHierarchy::from_level0(&bm(&bits, 60), &[2, 4, 4]).unwrap();
         check_against_expansion(&h, 20, 3);
+        let sparse: Vec<usize> = (0..60).filter(|i| i % 11 == 4).collect();
+        let h = BitmapHierarchy::from_level0(&bm(&sparse, 60), &[2, 4, 2, 2]).unwrap();
+        check_against_expansion(&h, 20, 3);
+    }
+
+    #[test]
+    fn walker_yields_element_offsets() {
+        let h = BitmapHierarchy::from_level0(&bm(&[1, 4, 5], 6), &[4, 2]).unwrap();
+        let dir = LineDirectory::build(&h, 2, 3);
+        let mut got = Vec::new();
+        dir.for_each_block_in(&h, 0..2, 4, |line, off, ord| got.push((line, off, ord)));
+        assert_eq!(got, vec![(0, 4, 0), (1, 4, 1), (1, 8, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn walker_rejects_ranges_past_the_end() {
+        let h = BitmapHierarchy::from_level0(&bm(&[1], 16), &[2, 4]).unwrap();
+        LineDirectory::build(&h, 4, 4).for_each_block_in(&h, 2..5, 2, |_, _, _| {});
     }
 
     #[test]

@@ -347,6 +347,36 @@ impl<T: Scalar> DynamicMatrix<T> {
         self.overlay.delete(r, c);
     }
 
+    /// Splits the row range `g` into runs, in order: each maximal run the
+    /// overlay leaves untouched (`delta` is `None`), and each row it
+    /// changes on its own. A SMASH base then decodes an untouched run in
+    /// one walk instead of seeking every row.
+    fn for_each_run(
+        &self,
+        g: Range<usize>,
+        mut f: impl FnMut(Range<usize>, Option<&BTreeMap<u32, Delta<T>>>),
+    ) {
+        let mut next = g.start;
+        let from = u32::try_from(g.start).unwrap_or(u32::MAX);
+        for (&r, delta) in self.overlay.rows.range(from..) {
+            let r = r as usize;
+            if r >= g.end {
+                break;
+            }
+            if r < next {
+                continue;
+            }
+            if next < r {
+                f(next..r, None);
+            }
+            f(r..r + 1, Some(delta));
+            next = r + 1;
+        }
+        if next < g.end {
+            f(next..g.end, None);
+        }
+    }
+
     /// Copies the base's logical row `i` (decode semantics for a SMASH
     /// base: explicit padding zeros are skipped).
     fn base_row_into(&self, i: usize, cols: &mut Vec<u32>, vals: &mut Vec<T>) {
@@ -489,27 +519,26 @@ impl<T: Scalar> RowRead<T> for DynamicMatrix<T> {
                 let cols = a.cols();
                 let mut scratch = vec![T::ZERO; b0];
                 y.fill(T::ZERO);
-                for row in g.clone() {
-                    match self.overlay.row(row) {
-                        // Untouched rows run the exact SMASH cursor body.
-                        None => {
-                            a.spmv_granules(row..row + 1, x, &mut y[row - g.start..=row - g.start])
-                        }
+                self.for_each_run(g.clone(), |rows, delta| {
+                    let out = &mut y[rows.start - g.start..rows.end - g.start];
+                    match delta {
+                        // Untouched runs take one walk of the exact SMASH
+                        // body.
+                        None => a.spmv_granules(rows, x, out),
                         Some(delta) => {
-                            RowRead::row_into(a, row, &mut bc, &mut bv);
+                            RowRead::row_into(a, rows.start, &mut bc, &mut bv);
                             merge_row(&bc, &bv, delta, &mut mc, &mut mv);
                             // Re-blocked merged row: the same blocks (and
                             // the same per-block dot) a re-encoded matrix
                             // would store for this row.
-                            let yi = &mut y[row - g.start];
                             for_each_line_block(&mc, &mv, &mut scratch, |blk, block| {
                                 let col = blk * b0;
                                 let n = b0.min(cols - col);
-                                *yi += block_dot(block, x, col, n);
+                                out[0] += block_dot(block, x, col, n);
                             });
                         }
                     }
-                }
+                });
             }
         }
     }
@@ -542,12 +571,12 @@ impl<T: Scalar> RowRead<T> for DynamicMatrix<T> {
                 let cols = a.cols();
                 let mut scratch = vec![T::ZERO; b0];
                 c.fill(T::ZERO);
-                for row in g.clone() {
-                    let out = &mut c[(row - g.start) * n..(row - g.start + 1) * n];
-                    match self.overlay.row(row) {
-                        None => a.spmm_dense_granules(row..row + 1, b, out),
+                self.for_each_run(g.clone(), |rows, delta| {
+                    let out = &mut c[(rows.start - g.start) * n..(rows.end - g.start) * n];
+                    match delta {
+                        None => a.spmm_dense_granules(rows, b, out),
                         Some(delta) => {
-                            RowRead::row_into(a, row, &mut bc, &mut bv);
+                            RowRead::row_into(a, rows.start, &mut bc, &mut bv);
                             merge_row(&bc, &bv, delta, &mut mc, &mut mv);
                             for_each_line_block(&mc, &mv, &mut scratch, |blk, block| {
                                 let col = blk * b0;
@@ -556,7 +585,7 @@ impl<T: Scalar> RowRead<T> for DynamicMatrix<T> {
                             });
                         }
                     }
-                }
+                });
             }
         }
     }

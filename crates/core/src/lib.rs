@@ -14,9 +14,10 @@
 //! [`SmashMatrix`] ties both together with the matrix geometry and the
 //! [`SmashConfig`] (per-level ratios + row/column-major [`Layout`]), and
 //! carries a [`LineDirectory`] — per-level [`RankIndex`]es plus per-line
-//! cursors — so any row of the compressed form is reachable in O(1)
-//! without expanding the bitmaps (the software analogue of the paper's
-//! BMU indexing).
+//! starting ordinals — so any row range of the compressed form is
+//! reachable in O(levels) and walked top-down by
+//! [`SmashMatrix::for_each_block_in`] without expanding the bitmaps (the
+//! software analogue of the paper's BMU).
 //!
 //! # Example
 //!
@@ -50,12 +51,10 @@ pub mod storage;
 
 pub use bitmap::{Bitmap, Ones};
 pub use config::{Layout, SmashConfig, MAX_LEVELS, MAX_RATIO};
-pub use directory::{LineCursor, LineDirectory};
+pub use directory::LineDirectory;
 pub use dynamic::{merge_row, Delta, DeltaOverlay, DynamicBase, DynamicMatrix};
 pub use error::SmashError;
 pub use hierarchy::{BitmapHierarchy, Blocks, Visit, Visits};
 pub use nza::Nza;
 pub use rank_select::{RankIndex, SUPERBLOCK_BITS};
-pub use smash_matrix::{
-    block_axpy_dense, block_dot, for_each_line_block, for_each_nz_block, SmashMatrix,
-};
+pub use smash_matrix::{block_axpy_dense, block_dot, for_each_line_block, SmashMatrix};

@@ -22,6 +22,15 @@ use smash_matrix::Scalar;
 pub struct Nza<T> {
     block_size: usize,
     values: Vec<T>,
+    /// Non-zero count of `values`, kept as blocks are added. The array is
+    /// append-only (no mutable access to stored values), so it cannot go
+    /// stale.
+    nnz: usize,
+}
+
+/// Number of non-zero values in `values`.
+fn count_nonzeros<T: Scalar>(values: &[T]) -> usize {
+    values.iter().filter(|v| !v.is_zero()).count()
 }
 
 impl<T: Scalar> Nza<T> {
@@ -35,6 +44,7 @@ impl<T: Scalar> Nza<T> {
         Nza {
             block_size,
             values: Vec::new(),
+            nnz: 0,
         }
     }
 
@@ -53,7 +63,12 @@ impl<T: Scalar> Nza<T> {
             values.len(),
             block_size
         );
-        Nza { block_size, values }
+        let nnz = count_nonzeros(&values);
+        Nza {
+            block_size,
+            values,
+            nnz,
+        }
     }
 
     /// Appends one block.
@@ -63,6 +78,7 @@ impl<T: Scalar> Nza<T> {
     /// Panics if `block.len() != block_size`.
     pub fn push_block(&mut self, block: &[T]) {
         assert_eq!(block.len(), self.block_size, "block length mismatch");
+        self.nnz += count_nonzeros(block);
         self.values.extend_from_slice(block);
     }
 
@@ -101,9 +117,10 @@ impl<T: Scalar> Nza<T> {
         &self.values
     }
 
-    /// Number of non-zero values actually stored.
+    /// Number of non-zero values actually stored — O(1), counted as the
+    /// blocks were added.
     pub fn nnz(&self) -> usize {
-        self.values.iter().filter(|v| !v.is_zero()).count()
+        self.nnz
     }
 
     /// Fraction of stored values that are explicit zeros (wasted storage and

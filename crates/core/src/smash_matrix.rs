@@ -1,6 +1,4 @@
-use crate::{
-    Bitmap, BitmapHierarchy, Layout, LineCursor, LineDirectory, Nza, SmashConfig, SmashError,
-};
+use crate::{Bitmap, BitmapHierarchy, Layout, LineDirectory, Nza, SmashConfig, SmashError};
 use smash_matrix::{Coo, Csr, Dense, RowRead, Scalar};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -39,12 +37,13 @@ pub fn for_each_line_block<T: Scalar>(
 /// `smash_matrix::simd` by whichever ISA body is active (AVX2, SSE4.2, or
 /// the scalar emulation of the same order).
 ///
-/// This is the per-block body of every SMASH SpMV path — the serial
-/// single-level word scan and multi-level cursor walk
+/// This is the per-block body of every SMASH SpMV path: the
+/// [`RowRead`] granule body of [`SmashMatrix`] calls it for each block
+/// that [`SmashMatrix::for_each_block_in`] yields, and both the serial
 /// (`smash_kernels::native::spmv_smash`) and the parallel row-range kernel
-/// (`smash_parallel::par_spmv_smash`) all call it, so their arithmetic
-/// order can never diverge and parallel output stays bit-identical to
-/// serial at every precision and under every ISA tier.
+/// (`smash_parallel::par_spmv_smash`) run that granule body, so their
+/// arithmetic order can never diverge and parallel output stays
+/// bit-identical to serial at every precision and under every ISA tier.
 ///
 /// # Example
 ///
@@ -58,53 +57,6 @@ pub fn for_each_line_block<T: Scalar>(
 #[inline]
 pub fn block_dot<T: Scalar>(block: &[T], x: &[T], col: usize, n: usize) -> T {
     T::simd_dot_contiguous(&block[..n], &x[col..col + n])
-}
-
-/// Visits every non-zero block of a row-major SMASH matrix in storage
-/// order, invoking `f(row, col, ordinal)` with the block's matrix row, its
-/// starting logical column, and its NZA ordinal.
-///
-/// This is *the* serial scan of the compressed form — the §4.4 software
-/// loop: a word-level `trailing_zeros` pass over the stored Bitmap-0 when
-/// the hierarchy is one level, the depth-first cursor otherwise. The
-/// serial SpMV (`smash_kernels::native::spmv_smash`) and the serial
-/// batched SpMM (`spmm_dense_smash`) both drive it, so their block
-/// visitation order — the foundation of the per-column bit-identity
-/// between the two — has exactly one definition.
-///
-/// # Panics
-///
-/// Panics if the matrix is not row-major.
-#[inline]
-pub fn for_each_nz_block<T: Scalar>(a: &SmashMatrix<T>, mut f: impl FnMut(usize, usize, usize)) {
-    assert_eq!(a.config().layout(), Layout::RowMajor, "row-major scan");
-    let b0 = a.config().block_size();
-    let bpl = a.blocks_per_line();
-    let mut ordinal = 0usize;
-    if a.hierarchy().num_levels() == 1 {
-        // Single-level fast path: the §4.4 loop verbatim — load a 64-bit
-        // bitmap word, trailing_zeros to find the set bit, AND to clear it.
-        let words = a.hierarchy().stored_level(0).words();
-        let total_bits = a.hierarchy().stored_level(0).len();
-        for (wi, &word) in words.iter().enumerate() {
-            let mut m = word;
-            while m != 0 {
-                let logical = wi * 64 + m.trailing_zeros() as usize;
-                m &= m - 1;
-                if logical >= total_bits {
-                    break;
-                }
-                f(logical / bpl, (logical % bpl) * b0, ordinal);
-                ordinal += 1;
-            }
-        }
-        return;
-    }
-    // Multi-level hierarchies scan through the depth-first cursor.
-    for logical in a.hierarchy().blocks() {
-        f(logical / bpl, (logical % bpl) * b0, ordinal);
-        ordinal += 1;
-    }
 }
 
 /// Multiplies one NZA block (logical columns `col..col + n`) against every
@@ -301,6 +253,13 @@ impl<T: Scalar> SmashMatrix<T> {
         nza: &Nza<T>,
     ) -> Result<(), SmashError> {
         hierarchy.validate()?;
+        if hierarchy.ratios() != config.ratios() {
+            return Err(SmashError::Inconsistent(format!(
+                "hierarchy ratios {:?} differ from the configured {:?}",
+                hierarchy.ratios(),
+                config.ratios()
+            )));
+        }
         if nza.num_blocks() != hierarchy.num_blocks() {
             return Err(SmashError::Inconsistent(format!(
                 "NZA holds {} blocks but Bitmap-0 has {} set bits",
@@ -412,14 +371,9 @@ impl<T: Scalar> SmashMatrix<T> {
     /// zeros.
     pub fn decode(&self) -> Csr<T> {
         let mut coo = Coo::with_capacity(self.rows, self.cols, self.nza.nnz());
-        let b0 = self.config.block_size();
-        let bpl = self.blocks_per_line();
         let line_len = self.line_len();
-        for (ordinal, logical) in self.hierarchy.blocks().enumerate() {
-            let line = logical / bpl;
-            let start = (logical % bpl) * b0;
-            let block = self.nza.block(ordinal);
-            for (e, &v) in block.iter().enumerate() {
+        self.for_each_block_in(0..self.line_count(), |line, start, ordinal| {
+            for (e, &v) in self.nza.block(ordinal).iter().enumerate() {
                 let off = start + e;
                 if off >= line_len || v.is_zero() {
                     continue;
@@ -430,7 +384,7 @@ impl<T: Scalar> SmashMatrix<T> {
                 };
                 coo.push(r, c, v);
             }
-        }
+        });
         Csr::from_coo(&coo)
     }
 
@@ -531,14 +485,15 @@ impl<T: Scalar> SmashMatrix<T> {
     ///
     /// O(logical bits) memory and time — this is the expansion the
     /// kernels used to pay on every call and no longer do; it remains as
-    /// the property-test oracle for [`line_cursor`](Self::line_cursor)
-    /// and for format conversions that need the dense bitmap.
+    /// the property-test oracle for
+    /// [`for_each_block_in`](Self::for_each_block_in) and for format
+    /// conversions that need the dense bitmap.
     pub fn full_bitmap0(&self) -> Bitmap {
         self.hierarchy.expand_full(0)
     }
 
     /// The per-line directory: O(1) row seeks into the compressed form
-    /// (starting NZA ordinals, stored-bitmap cursors, logical
+    /// (per-level rank indexes, starting NZA ordinals, logical
     /// rank/select) — the software analogue of the BMU's `bmapinfo`
     /// state. Built once at construction; O(lines + stored bits / 512)
     /// memory.
@@ -546,15 +501,49 @@ impl<T: Scalar> SmashMatrix<T> {
         &self.directory
     }
 
-    /// Word-level cursor over one line's non-zero blocks, yielding
-    /// `(nza_ordinal, logical_bitmap0_index)` in block order — no bitmap
-    /// expansion, O(1) seek to the line.
+    /// Visits every non-zero block of `lines` in storage order, calling
+    /// `f(line, offset, ordinal)` with the block's line, the element
+    /// offset of its first value within the line, and its NZA block
+    /// ordinal. For a row-major matrix `(line, offset)` is the block's
+    /// `(row, col)`; for column-major it is `(col, row)`.
+    ///
+    /// This is *the* SMASH decode — the software BMU. Every kernel that
+    /// reads the compressed form (the [`RowRead`] granule bodies, the
+    /// SpMM merge operands, [`decode`](Self::decode)) walks through it.
+    /// One O(levels) seek positions a cursor per bitmap level; the walk
+    /// then descends top-down, scanning only the child group of each set
+    /// parent bit with word loads and count-trailing-zeros. It never
+    /// selects, never divides per block, never allocates and never
+    /// expands a bitmap.
     ///
     /// # Panics
     ///
-    /// Panics if `line >= line_count()`.
-    pub fn line_cursor(&self, line: usize) -> LineCursor<'_> {
-        self.directory.cursor(&self.hierarchy, line)
+    /// Panics if `lines.end > line_count()`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use smash_core::{SmashConfig, SmashMatrix};
+    /// use smash_matrix::{Coo, Csr};
+    ///
+    /// let mut coo = Coo::new(3, 8);
+    /// coo.push(0, 1, 1.0);
+    /// coo.push(2, 4, 2.0);
+    /// coo.push(2, 5, 3.0);
+    /// let sm = SmashMatrix::encode(&Csr::from_coo(&coo), SmashConfig::row_major(&[2, 4])?);
+    /// let mut blocks = Vec::new();
+    /// sm.for_each_block_in(1..3, |row, col, ordinal| blocks.push((row, col, ordinal)));
+    /// assert_eq!(blocks, vec![(2, 4, 1)]); // one 2-wide block: (2,4) and (2,5)
+    /// # Ok::<(), smash_core::SmashError>(())
+    /// ```
+    #[inline]
+    pub fn for_each_block_in(
+        &self,
+        lines: std::ops::Range<usize>,
+        f: impl FnMut(usize, usize, usize),
+    ) {
+        self.directory
+            .for_each_block_in(&self.hierarchy, lines, self.config.block_size(), f);
     }
 
     /// Per-line starting NZA block ordinal (length `line_count() + 1`): the
@@ -725,10 +714,11 @@ impl<T: Scalar> SmashMatrix<T> {
 
 /// The row-operand view of a row-major SMASH matrix: one granule per row
 /// line, weighted by the line's occupied-block count (straight out of the
-/// [`LineDirectory`], no rank scans). The granule bodies walk each row
-/// with a [`LineCursor`] and run the shared [`block_dot`] /
-/// [`block_axpy_dense`] per-block routines — exactly the serial SMASH
-/// kernel bodies, so the generic drivers stay bit-identical to them.
+/// [`LineDirectory`], no rank scans). Each granule-range body makes one
+/// [`SmashMatrix::for_each_block_in`] walk over its rows and runs the
+/// shared [`block_dot`] / [`block_axpy_dense`] per-block routines in
+/// block order, so a range cut anywhere computes every row exactly as
+/// the uncut serial sweep does.
 ///
 /// # Panics
 ///
@@ -766,13 +756,10 @@ impl<T: Scalar> RowRead<T> for SmashMatrix<T> {
         cols.clear();
         vals.clear();
         let b0 = self.config.block_size();
-        let bpl = self.blocks_per_line();
         let nza = self.nza().values();
-        for (ordinal, logical) in self.line_cursor(i) {
-            let col0 = (logical % bpl) * b0;
+        self.for_each_block_in(i..i + 1, |_, col0, ordinal| {
             let n = b0.min(self.cols - col0);
-            let block = &nza[ordinal * b0..ordinal * b0 + n];
-            for (k, v) in block.iter().enumerate() {
+            for (k, v) in nza[ordinal * b0..ordinal * b0 + n].iter().enumerate() {
                 // Decode semantics: explicit padding zeros inside a stored
                 // block are not logical entries.
                 if !v.is_zero() {
@@ -780,45 +767,46 @@ impl<T: Scalar> RowRead<T> for SmashMatrix<T> {
                     vals.push(*v);
                 }
             }
-        }
+        });
     }
 
     fn spmv_granules(&self, g: std::ops::Range<usize>, x: &[T], y: &mut [T]) {
         assert_eq!(self.config.layout(), Layout::RowMajor, "row-major SpMV");
         let b0 = self.config.block_size();
-        let bpl = self.blocks_per_line();
         let cols = self.cols;
         let nza = self.nza().values();
         y.fill(T::ZERO);
-        for row in g.clone() {
-            for (ordinal, logical) in self.line_cursor(row) {
-                let col = (logical % bpl) * b0;
-                let block = &nza[ordinal * b0..(ordinal + 1) * b0];
-                let n = b0.min(cols - col);
-                // The shared per-block body of every SMASH SpMV.
-                y[row - g.start] += block_dot(block, x, col, n);
-            }
+        if g.is_empty() {
+            return;
         }
+        // One register accumulator per row, stored when the walk moves on;
+        // rows without blocks keep the zero fill.
+        let (mut row, mut acc) = (g.start, T::ZERO);
+        self.for_each_block_in(g.clone(), |r, col, ordinal| {
+            if r != row {
+                y[row - g.start] = acc;
+                (row, acc) = (r, T::ZERO);
+            }
+            let block = &nza[ordinal * b0..(ordinal + 1) * b0];
+            // The shared per-block body of every SMASH SpMV.
+            acc += block_dot(block, x, col, b0.min(cols - col));
+        });
+        y[row - g.start] = acc;
     }
 
     fn spmm_dense_granules(&self, g: std::ops::Range<usize>, b: &Dense<T>, c: &mut [T]) {
         assert_eq!(self.config.layout(), Layout::RowMajor, "row-major SpMM");
         let n = b.cols();
         let b0 = self.config.block_size();
-        let bpl = self.blocks_per_line();
         let cols = self.cols;
         let nza = self.nza().values();
         c.fill(T::ZERO);
-        for row in g.clone() {
+        self.for_each_block_in(g.clone(), |row, col, ordinal| {
             let out = &mut c[(row - g.start) * n..(row - g.start + 1) * n];
-            for (ordinal, logical) in self.line_cursor(row) {
-                let col = (logical % bpl) * b0;
-                let block = &nza[ordinal * b0..(ordinal + 1) * b0];
-                let nb = b0.min(cols - col);
-                // The shared per-block body of every batched SMASH SpMM.
-                block_axpy_dense(block, b, col, nb, out);
-            }
-        }
+            let block = &nza[ordinal * b0..(ordinal + 1) * b0];
+            // The shared per-block body of every batched SMASH SpMM.
+            block_axpy_dense(block, b, col, b0.min(cols - col), out);
+        });
     }
 }
 
@@ -940,7 +928,7 @@ mod tests {
     }
 
     #[test]
-    fn line_cursor_matches_expansion_oracle() {
+    fn walker_matches_expansion_oracle() {
         let mats = [
             generators::uniform(33, 57, 200, 3),
             generators::clustered(50, 41, 300, 6, 5),
@@ -948,19 +936,71 @@ mod tests {
         for a in &mats {
             for ratios in [&[2u32][..], &[4, 4], &[2, 4, 16], &[8, 4, 2]] {
                 let sm = SmashMatrix::encode(a, cfg(ratios));
-                let all: Vec<usize> = sm.full_bitmap0().iter_ones().collect();
                 let bpl = sm.blocks_per_line();
+                let b0 = sm.config().block_size();
+                let want: Vec<(usize, usize, usize)> = sm
+                    .full_bitmap0()
+                    .iter_ones()
+                    .enumerate()
+                    .map(|(o, l)| (l / bpl, (l % bpl) * b0, o))
+                    .collect();
+                // Whole matrix, then every row on its own.
                 let mut got = Vec::new();
+                sm.for_each_block_in(0..sm.line_count(), |r, c, o| got.push((r, c, o)));
+                assert_eq!(got, want, "ratios {ratios:?}");
+                got.clear();
                 for line in 0..sm.line_count() {
-                    for (ordinal, logical) in sm.line_cursor(line) {
-                        assert_eq!(logical / bpl, line, "ratios {ratios:?}");
-                        got.push((ordinal, logical));
-                    }
+                    sm.for_each_block_in(line..line + 1, |r, c, o| got.push((r, c, o)));
                 }
-                let want: Vec<(usize, usize)> = all.into_iter().enumerate().collect();
                 assert_eq!(got, want, "ratios {ratios:?}");
             }
         }
+    }
+
+    /// The count of stored non-zeros an `Nza` caches must equal a scan of
+    /// its values on every construction path.
+    #[test]
+    fn cached_nnz_matches_a_scan() {
+        fn scan<T: Scalar>(sm: &SmashMatrix<T>) -> usize {
+            sm.nza().values().iter().filter(|v| !v.is_zero()).count()
+        }
+        // Explicit zeros stored inside blocks, and a block that cancels.
+        let mut coo = Coo::new(4, 6);
+        coo.push(0, 0, 1.0);
+        coo.push(1, 2, 0.0);
+        coo.push(1, 3, 2.0);
+        coo.push(3, 5, -4.0);
+        let a = Csr::from_coo(&coo);
+        let mut neg = Coo::new(4, 6);
+        neg.push(3, 5, 4.0);
+        neg.push(2, 1, 0.0);
+        let b = Csr::from_coo(&neg);
+        for ratios in [&[2u32][..], &[4, 2], &[2, 2, 2]] {
+            let sa = SmashMatrix::encode(&a, cfg(ratios));
+            let sb = SmashMatrix::encode(&b, cfg(ratios));
+            let sum = sa.add(&sb).unwrap();
+            let parts = [(
+                vec![0usize, 4],
+                sa.nza().values()[..2 * sa.config().block_size()].to_vec(),
+            )];
+            let built = SmashMatrix::from_bit_blocks(4, 6, cfg(ratios), &parts).unwrap();
+            for sm in [&sa, &sb, &sum, &built] {
+                assert_eq!(sm.nnz(), scan(sm), "ratios {ratios:?}");
+                assert_eq!(
+                    sm.nza().zero_fraction(),
+                    1.0 - scan(sm) as f64 / sm.nza().len().max(1) as f64
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn from_parts_rejects_ratios_other_than_the_config() {
+        let a = generators::uniform(16, 16, 40, 7);
+        let sm = SmashMatrix::encode(&a, cfg(&[2, 4]));
+        let h = BitmapHierarchy::from_level0(&sm.full_bitmap0(), &[2, 8]).unwrap();
+        let err = SmashMatrix::from_parts(16, 16, cfg(&[2, 4]), h, sm.nza().clone());
+        assert!(err.is_err(), "a hierarchy must match its configuration");
     }
 
     #[test]

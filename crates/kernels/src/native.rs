@@ -75,9 +75,10 @@ pub fn spmv_bcsr<T: Scalar>(a: &Bcsr<T>, x: &[T], y: &mut [T]) {
     spmv_rows(a, x, y);
 }
 
-/// Software-only SMASH SpMV: scans the stored bitmap hierarchy with
-/// word-level `trailing_zeros` (the CLZ/AND loop of §4.4) and multiplies
-/// whole NZA blocks against contiguous `x` elements.
+/// Software-only SMASH SpMV: walks the stored bitmap hierarchy top-down
+/// with word-level `trailing_zeros` (the CLZ/AND loop of §4.4, via
+/// [`SmashMatrix::for_each_block_in`]) and multiplies whole NZA blocks
+/// against contiguous `x` elements.
 ///
 /// # Panics
 ///
@@ -117,9 +118,8 @@ pub fn spmm_dense_bcsr<T: Scalar>(a: &Bcsr<T>, b: &Dense<T>, c: &mut Dense<T>) {
 }
 
 /// Batched software-SMASH sparse × dense multiply over the compressed
-/// form: the same bitmap scan as [`spmv_smash`] (word-level
-/// `trailing_zeros` on one level, depth-first cursor otherwise), with the
-/// per-block body `block_axpy_dense` shared with
+/// form: the same top-down walk as [`spmv_smash`], with the per-block
+/// body `block_axpy_dense` shared with
 /// `smash_parallel::par_spmm_dense_smash`. Column `j` of `C` is
 /// bit-identical to [`spmv_smash`] against column `j` of `B`.
 ///

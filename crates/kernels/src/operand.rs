@@ -218,8 +218,9 @@ pub(crate) fn check_smash_spmm_operands<T: Scalar>(a: &SmashMatrix<T>, b: &Smash
 }
 
 /// A SMASH operand prepared for block-granular line merges: per-line in-line
-/// block offsets, flattened and addressed through the directory's per-line
-/// starts — O(nnz blocks + lines) auxiliary memory, never the O(dense) full
+/// block offsets, decoded by one [`SmashMatrix::for_each_block_in`] walk,
+/// flattened and addressed through the directory's per-line starts —
+/// O(nnz blocks + lines) auxiliary memory, never the O(dense) full
 /// Bitmap-0 expansion.
 ///
 /// Shared between the serial `spmm_smash` loop and the row-parallel variant
@@ -234,18 +235,15 @@ pub(crate) struct SmashMergeOperand<'a, T> {
 
 impl<'a, T: Scalar> SmashMergeOperand<'a, T> {
     pub(crate) fn new(sm: &'a SmashMatrix<T>) -> Self {
-        let bpl = sm.blocks_per_line();
-        let mut offs = vec![0u32; sm.num_blocks()];
-        for (ordinal, logical) in sm.hierarchy().blocks().enumerate() {
-            offs[ordinal] = (logical % bpl) as u32;
-        }
-        let lines = sm.line_block_starts().len() - 1;
+        let b0 = sm.config().block_size();
+        let mut offs = Vec::with_capacity(sm.num_blocks());
+        sm.for_each_block_in(0..sm.line_count(), |_, off, _| offs.push((off / b0) as u32));
         Self {
             offs,
             starts: sm.line_block_starts(),
             nza: sm.nza().values(),
-            b0: sm.config().block_size(),
-            lines,
+            b0,
+            lines: sm.line_count(),
         }
     }
 

@@ -245,10 +245,10 @@ impl MatrixProfile {
         .with_shape(a.rows(), a.cols())
     }
 
-    /// Profiles a SMASH operand: row statistics come from the line
-    /// directory (stored NZA values per line) in `O(lines)`, block fill
-    /// from the encoding itself — both already materialized at encode
-    /// time, so this never expands a bitmap.
+    /// Profiles a SMASH operand in `O(lines)`: row statistics come from
+    /// the line directory (stored NZA values per line), the non-zero
+    /// count and block fill from the count the NZA keeps as blocks are
+    /// added — never a bitmap expansion or a scan of the values.
     pub fn of_smash<T: Scalar>(a: &smash_core::SmashMatrix<T>) -> Self {
         let block = a.config().block_size();
         let starts = a.line_block_starts();
@@ -285,21 +285,23 @@ impl MatrixProfile {
         stored_work: usize,
         per_row: impl Iterator<Item = usize>,
     ) -> Self {
+        // Integer sums: exact, and free of the floating-point add latency
+        // chain that would otherwise bound this per-row loop.
         let mut n = 0usize;
-        let mut sum = 0.0f64;
-        let mut sum_sq = 0.0f64;
+        let mut sum = 0u64;
+        let mut sum_sq = 0u128;
         let mut max = 0usize;
         for len in per_row {
             n += 1;
-            sum += len as f64;
-            sum_sq += (len as f64) * (len as f64);
+            sum += len as u64;
+            sum_sq += (len as u128) * (len as u128);
             max = max.max(len);
         }
-        let mean = if n == 0 { 0.0 } else { sum / n as f64 };
+        let mean = if n == 0 { 0.0 } else { sum as f64 / n as f64 };
         let var = if n == 0 {
             0.0
         } else {
-            (sum_sq / n as f64 - mean * mean).max(0.0)
+            (sum_sq as f64 / n as f64 - mean * mean).max(0.0)
         };
         let cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
         MatrixProfile {

@@ -259,25 +259,30 @@ pub fn spmm_bcsr<E: Engine, T: Scalar>(e: &mut E, a: &Bcsr<T>, bt: &Bcsr<T>) -> 
     c
 }
 
-/// Per-operand state for the SMASH SpMM merges: the block lists of each
-/// line, read straight off the compressed form through the matrix's
-/// [`LineDirectory`](smash_core::LineDirectory) cursors — the full
-/// Bitmap-0 is never expanded.
-struct SmashLines {
-    /// For each line, the logical Bitmap-0 indices of its blocks.
-    blocks: Vec<Vec<usize>>,
-    /// NZA block ordinal where each line starts.
-    starts: Vec<u32>,
+/// Per-operand state for the SMASH SpMM merges: the in-line position of
+/// every block, read straight off the compressed form by one
+/// [`SmashMatrix::for_each_block_in`] walk — the full Bitmap-0 is never
+/// expanded.
+struct SmashLines<'a> {
+    /// Element offset of each block within its line, in NZA order.
+    offsets: Vec<usize>,
+    /// NZA block ordinal where each line starts (length `lines + 1`).
+    starts: &'a [u32],
 }
 
-fn smash_lines<T: Scalar>(sm: &SmashMatrix<T>) -> SmashLines {
-    let mut blocks = vec![Vec::new(); sm.line_count()];
-    for (line, list) in blocks.iter_mut().enumerate() {
-        list.extend(sm.line_cursor(line).map(|(_, logical)| logical));
+impl SmashLines<'_> {
+    /// Element offsets of line `l`'s blocks, in block order.
+    fn line(&self, l: usize) -> &[usize] {
+        &self.offsets[self.starts[l] as usize..self.starts[l + 1] as usize]
     }
+}
+
+fn smash_lines<T: Scalar>(sm: &SmashMatrix<T>) -> SmashLines<'_> {
+    let mut offsets = Vec::with_capacity(sm.num_blocks());
+    sm.for_each_block_in(0..sm.line_count(), |_, off, _| offsets.push(off));
     SmashLines {
-        blocks,
-        starts: sm.line_block_starts().to_vec(),
+        offsets,
+        starts: sm.line_block_starts(),
     }
 }
 
@@ -354,7 +359,7 @@ pub fn spmm_hw_smash<E: Engine, T: Scalar>(
     let row_cache = e.alloc(4 * (bpl_a + 1), 64);
 
     for i in 0..a.rows() {
-        let ablocks = &lines_a.blocks[i];
+        let ablocks = lines_a.line(i);
         if ablocks.is_empty() {
             e.branch(sites::SPMM_ROW, true, &[]);
             continue;
@@ -383,7 +388,7 @@ pub fn spmm_hw_smash<E: Engine, T: Scalar>(
         }
 
         for j in 0..b.cols() {
-            let bblocks = &lines_b.blocks[j];
+            let bblocks = lines_b.line(j);
             e.branch(sites::SPMM_COL, j + 1 < b.cols(), &[]);
             if bblocks.is_empty() {
                 continue;
@@ -432,7 +437,7 @@ pub fn spmm_hw_smash<E: Engine, T: Scalar>(
                 let cmp = e.alu(&[ind_a, ind_b]);
                 e.alu(&[cmp]); // counter update
                 e.branch(sites::MERGE_BOUND, true, &[]);
-                let pos_a = (ablocks[k_a] - row_bit) * b0; // column of A's block
+                let pos_a = ablocks[k_a]; // column of A's block
                 let pos_b = (cur_b - col_bit) * b0; // row of B's block
                 match pos_a.cmp(&pos_b) {
                     std::cmp::Ordering::Equal => {
@@ -550,7 +555,7 @@ pub fn spmm_sw_smash<E: Engine, T: Scalar>(
     };
 
     for i in 0..a.rows() {
-        let ablocks = &lines_a.blocks[i];
+        let ablocks = lines_a.line(i);
         if ablocks.is_empty() {
             e.branch(sites::SPMM_ROW, true, &[]);
             continue;
@@ -560,7 +565,7 @@ pub fn spmm_sw_smash<E: Engine, T: Scalar>(
         let da = scan_line(e, bm_a, bpl_a, i, ablocks.len());
         for j in 0..b.cols() {
             e.branch(sites::SPMM_COL, j + 1 < b.cols(), &[]);
-            let bblocks = &lines_b.blocks[j];
+            let bblocks = lines_b.line(j);
             if bblocks.is_empty() {
                 continue;
             }
@@ -578,8 +583,8 @@ pub fn spmm_sw_smash<E: Engine, T: Scalar>(
                 e.alu(&[cmp]); // increments
                 e.alu(&[cmp]);
                 e.branch(sites::MERGE_BOUND, true, &[]);
-                let pos_a = ablocks[p] - i * bpl_a;
-                let pos_b = bblocks[q] - j * bpl_b;
+                let pos_a = ablocks[p];
+                let pos_b = bblocks[q];
                 match pos_a.cmp(&pos_b) {
                     std::cmp::Ordering::Equal => {
                         e.branch(sites::MATCH_CMP, true, &[cmp]);

@@ -271,6 +271,7 @@ impl Lane for f32 {}
 impl Lane for f64 {}
 
 /// Pairwise-halving fold of the stripe array — step 2 of the contract.
+#[inline]
 fn fold<T: Lane, const L: usize>(mut s: [T; L]) -> T {
     let mut width = L;
     while width > 1 {
@@ -294,10 +295,28 @@ fn dot_indexed_striped<T: Lane, const L: usize>(cols: &[u32], vals: &[T], x: &[T
 }
 
 /// Scalar emulation of the striped contiguous dot.
+///
+/// Element `k` still lands in stripe `k % L`, in increasing `k`, but
+/// every stripe index is a constant: whole `L`-chunks first, then the
+/// guarded tail. That keeps the stripes in registers — a short SMASH
+/// block dot would otherwise round-trip them through the stack on every
+/// call.
+#[inline]
 fn dot_seq_striped<T: Lane, const L: usize>(a: &[T], b: &[T]) -> T {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
     let mut s = [T::default(); L];
-    for (k, (&av, &bv)) in a.iter().zip(b).enumerate() {
-        s[k % L] += av * bv;
+    let (mut ca, mut cb) = (a.chunks_exact(L), b.chunks_exact(L));
+    for (xa, xb) in (&mut ca).zip(&mut cb) {
+        for i in 0..L {
+            s[i] += xa[i] * xb[i];
+        }
+    }
+    let (ra, rb) = (ca.remainder(), cb.remainder());
+    for i in 0..L {
+        if i < ra.len() {
+            s[i] += ra[i] * rb[i];
+        }
     }
     fold(s)
 }
@@ -393,6 +412,7 @@ macro_rules! impl_simd_elem {
                 dot_indexed_striped::<$t, $lanes>(cols, vals, x)
             }
 
+            #[inline]
             fn simd_dot_contiguous(a: &[Self], b: &[Self]) -> Self {
                 // Same short-dot cutoff as `simd_dot_indexed`; SMASH block
                 // dots are often only a few elements long.

@@ -125,13 +125,12 @@ pub fn par_spmv_bcsr<T: Scalar>(pool: &ThreadPool, a: &Bcsr<T>, x: &[T], y: &mut
     par_spmv_rows(pool, a, x, y);
 }
 
-/// Parallel software-SMASH SpMV over the compressed form: the matrix's
-/// [`LineDirectory`](smash_core::LineDirectory) seeks each worker's row
-/// range in O(1) (starting NZA ordinal + stored-bitmap cursor), and each
-/// row is scanned with a word-level
-/// [`LineCursor`](smash_core::LineCursor) — the logical Bitmap-0 is
-/// never expanded, so peak auxiliary memory is O(1) per worker instead
-/// of O(dense size). Bit-identical to
+/// Parallel software-SMASH SpMV over the compressed form: each worker
+/// decodes its row range with one top-down
+/// [`SmashMatrix::for_each_block_in`] walk, seeded in O(levels) through
+/// the matrix's [`LineDirectory`](smash_core::LineDirectory) — the
+/// logical Bitmap-0 is never expanded, so peak auxiliary memory is O(1)
+/// per worker instead of O(dense size). Bit-identical to
 /// [`spmv_smash`](../../smash_kernels/native/fn.spmv_smash.html) at any
 /// thread count.
 ///
@@ -142,7 +141,7 @@ pub fn par_spmv_bcsr<T: Scalar>(pool: &ThreadPool, a: &Bcsr<T>, x: &[T], y: &mut
 pub fn par_spmv_smash<T: Scalar>(pool: &ThreadPool, a: &SmashMatrix<T>, x: &[T], y: &mut [T]) {
     // One row line per granule, weighted by the per-line block counts the
     // directory already knows — no expansion, no rank scans. Each range
-    // runs the shared `LineCursor` + `block_dot` body.
+    // runs the shared walker + `block_dot` body.
     par_spmv_rows(pool, a, x, y);
 }
 
@@ -190,9 +189,8 @@ pub fn par_spmm_dense_bcsr<T: Scalar>(
 }
 
 /// Parallel batched SMASH sparse × dense multiply over the compressed
-/// form: workers seek their nnz-balanced row ranges through the matrix's
-/// [`LineDirectory`](smash_core::LineDirectory) and scan each row with a
-/// word-level [`LineCursor`](smash_core::LineCursor) — the logical
+/// form: each worker decodes its nnz-balanced row range with one
+/// top-down [`SmashMatrix::for_each_block_in`] walk — the logical
 /// Bitmap-0 is never expanded. Bit-identical to
 /// [`spmm_dense_smash`](../../smash_kernels/native/fn.spmm_dense_smash.html)
 /// at any thread count — every block runs the shared `block_axpy_dense`
@@ -208,8 +206,8 @@ pub fn par_spmm_dense_smash<T: Scalar>(
     b: &Dense<T>,
     c: &mut Dense<T>,
 ) {
-    // The generic driver over row-line granules: every row runs the
-    // shared `LineCursor` + `block_axpy_dense` body.
+    // The generic driver over row-line granules: every range runs the
+    // shared walker + `block_axpy_dense` body.
     par_spmm_dense_rows(pool, a, b, c);
 }
 

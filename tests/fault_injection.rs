@@ -29,8 +29,10 @@ fn worker_panic_degrades_to_the_bit_identical_serial_result() {
     let mut want = vec![0.0f64; 96];
     Executor::serial().spmv(&a, &x, &mut want);
 
-    let exec = Executor::with_threads(4);
+    // The pool is spawned under the session: outside one, its spawn races
+    // the `PoolSpawn` plans other tests arm concurrently.
     let session = arm(FaultPlan::new().fail_at(Site::WorkerJob, 1));
+    let exec = Executor::with_threads(4);
     let mut y = vec![f64::NAN; 96];
     let report = exec.try_spmv(&a, &x, &mut y).expect("ladder must recover");
     assert_eq!(y, want, "degraded run must be bit-identical to serial");
@@ -185,15 +187,19 @@ proptest! {
         let mut want = vec![0.0f64; 96];
         Executor::serial().spmv(&a, &x, &mut want);
 
-        let exec = Executor::with_threads(8);
+        // Spawned under the session, as above.
         let session = arm(FaultPlan::new().fail_at(Site::WorkerJob, occurrence));
+        let exec = Executor::with_threads(8);
         let mut y = vec![f64::NAN; 96];
         exec.try_spmv(&a, &x, &mut y).expect("ladder");
         prop_assert_eq!(&y, &want);
 
         // Whether or not the plan fired (high occurrences may exceed the
         // job count), a second clean call on the same pool must agree too.
+        // It runs under an empty plan, so no concurrently armed plan can
+        // fault it.
         drop(session);
+        let _clean = arm(FaultPlan::new());
         let mut y2 = vec![f64::NAN; 96];
         let report = exec.try_spmv(&a, &x, &mut y2).expect("clean follow-up");
         prop_assert_eq!(&y2, &want);

@@ -1,13 +1,14 @@
 //! Property tests for the rank/select indexing layer: `RankIndex`
-//! against the O(n) scans, `LineDirectory`/`LineCursor` against the
-//! full-expansion oracle, and the directory-backed kernels against the
-//! seed kernels — **bit-identical** (`==`), at thread counts {1, 2, 8},
-//! across adversarial shapes.
+//! against the O(n) scans, the `LineDirectory` and the top-down walker
+//! (`SmashMatrix::for_each_block_in`) against the full-expansion oracle,
+//! and the walker-backed kernels against the seed kernels —
+//! **bit-identical** (`==`), at thread counts {1, 2, 8}, across
+//! adversarial shapes.
 
 use proptest::prelude::*;
 use smash::encoding::{Bitmap, RankIndex, SmashConfig, SmashMatrix};
 use smash::kernels::native;
-use smash::matrix::{generators, Coo, Csr};
+use smash::matrix::{generators, Coo, Csr, Dense, RowRead};
 use smash::parallel::{par_spmv_smash, ThreadPool};
 
 /// The thread counts the kernel equivalence assertions run under.
@@ -69,24 +70,69 @@ proptest! {
         prop_assert_eq!(idx.select(&bm, k), bm.iter_ones().nth(k));
     }
 
-    /// The line cursor must yield exactly the (ordinal, logical) pairs
-    /// the full-expansion oracle produces, line by line.
+    /// The walker must yield exactly the `(row, col, ordinal)` triples
+    /// the full-expansion oracle produces: line by line, and over an
+    /// arbitrary row range `r0..r1` (empty, or starting mid-group).
     #[test]
-    fn line_cursor_matches_full_expansion(a in arb_matrix(), ratios in arb_ratios()) {
+    fn walker_matches_full_expansion(
+        a in arb_matrix(),
+        ratios in arb_ratios(),
+        cut in (0.0f64..1.0, 0.0f64..1.0),
+    ) {
         let sm = SmashMatrix::encode(&a, SmashConfig::row_major(&ratios).unwrap());
-        let full = sm.full_bitmap0();
         let bpl = sm.blocks_per_line();
-        let want: Vec<(usize, usize)> = full.iter_ones().enumerate().collect();
+        let b0 = sm.config().block_size();
+        let want: Vec<(usize, usize, usize)> = sm
+            .full_bitmap0()
+            .iter_ones()
+            .enumerate()
+            .map(|(o, l)| (l / bpl, (l % bpl) * b0, o))
+            .collect();
         let mut got = Vec::new();
         for line in 0..sm.line_count() {
             let before = got.len();
-            for pair in sm.line_cursor(line) {
-                prop_assert_eq!(pair.1 / bpl, line);
-                got.push(pair);
-            }
+            sm.for_each_block_in(line..line + 1, |r, c, o| got.push((r, c, o)));
             prop_assert_eq!(got.len() - before, sm.directory().blocks_in_line(line));
         }
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(&got, &want);
+        let n = sm.line_count();
+        let (x, y) = ((cut.0 * (n + 1) as f64) as usize, (cut.1 * (n + 1) as f64) as usize);
+        let (r0, r1) = (x.min(y).min(n), x.max(y).min(n));
+        let mut ranged = Vec::new();
+        sm.for_each_block_in(r0..r1, |r, c, o| ranged.push((r, c, o)));
+        let in_range: Vec<_> = want.into_iter().filter(|t| (r0..r1).contains(&t.0)).collect();
+        prop_assert_eq!(ranged, in_range, "rows {}..{}", r0, r1);
+    }
+
+    /// Cutting the granule range anywhere must not change a bit: the
+    /// walker seeded at `k` computes every row exactly as the uncut walk.
+    #[test]
+    fn split_granule_ranges_are_bit_identical(
+        a in arb_matrix(),
+        ratios in arb_ratios(),
+        frac in 0.0f64..1.0,
+    ) {
+        let sm = SmashMatrix::encode(&a, SmashConfig::row_major(&ratios).unwrap());
+        let n = sm.granules();
+        let k = ((n as f64) * frac) as usize;
+        let x = vector(a.cols());
+        let mut whole = vec![f64::NAN; n];
+        sm.spmv_granules(0..n, &x, &mut whole);
+        let mut split = vec![f64::NAN; n];
+        let (lo, hi) = split.split_at_mut(k);
+        sm.spmv_granules(0..k, &x, lo);
+        sm.spmv_granules(k..n, &x, hi);
+        prop_assert_eq!(&split, &whole, "cut at {}", k);
+
+        let halved: Vec<f64> = x.iter().map(|v| v * 0.5 - 1.0).collect();
+        let b = Dense::from_columns(a.cols(), &[x.clone(), halved]).unwrap();
+        let mut whole = vec![f64::NAN; 2 * n];
+        sm.spmm_dense_granules(0..n, &b, &mut whole);
+        let mut split = vec![f64::NAN; 2 * n];
+        let (lo, hi) = split.split_at_mut(2 * k);
+        sm.spmm_dense_granules(0..k, &b, lo);
+        sm.spmm_dense_granules(k..n, &b, hi);
+        prop_assert_eq!(&split, &whole, "cut at {}", k);
     }
 
     /// Directory-backed per-line starts must equal the expansion oracle,
@@ -135,14 +181,15 @@ proptest! {
         let b = generators::uniform(a.cols(), 24, (a.cols() * 3).min(150), b_seed);
         let sa = SmashMatrix::encode(&a, SmashConfig::row_major(&[2]).unwrap());
         let sb = SmashMatrix::encode(&b, SmashConfig::col_major(&[2]).unwrap());
-        // The per-line lists the kernel derives from the directory must
+        // The per-line lists the kernel derives from the walker must
         // equal the lists the seed derived from the expanded Bitmap-0.
         for sm in [&sa, &sb] {
             let bpl = sm.blocks_per_line();
+            let b0 = sm.config().block_size();
             let starts = sm.line_block_starts();
             for line in 0..sm.line_count() {
-                let got: Vec<u32> =
-                    sm.line_cursor(line).map(|(_, l)| (l % bpl) as u32).collect();
+                let mut got = Vec::new();
+                sm.for_each_block_in(line..line + 1, |_, off, _| got.push((off / b0) as u32));
                 let want: Vec<u32> = sm
                     .full_bitmap0()
                     .iter_ones()
@@ -160,6 +207,24 @@ proptest! {
                 let (x, y) = (got.get(i, j), want.get(i, j));
                 prop_assert!((x - y).abs() < 1e-9 * (1.0 + y.abs()), "({},{}): {} vs {}", i, j, x, y);
             }
+        }
+    }
+}
+
+/// Degenerate shapes: no columns (zero bits per line) and no rows walk
+/// nothing, and the kernels still fill their outputs.
+#[test]
+fn walker_handles_empty_shapes() {
+    for (rows, cols) in [(5usize, 0usize), (0, 7), (0, 0)] {
+        let a = Csr::<f64>::from_coo(&Coo::new(rows, cols));
+        for ratios in [&[2u32][..], &[2, 4], &[4, 2, 2]] {
+            let sm = SmashMatrix::encode(&a, SmashConfig::row_major(ratios).unwrap());
+            let mut seen = 0;
+            sm.for_each_block_in(0..rows, |_, _, _| seen += 1);
+            assert_eq!(seen, 0);
+            let mut y = vec![f64::NAN; rows];
+            native::spmv_smash(&sm, &vec![1.0; cols], &mut y);
+            assert!(y.iter().all(|&v| v == 0.0), "{rows}x{cols} {ratios:?}");
         }
     }
 }
