@@ -518,7 +518,7 @@ impl<T: Scalar> SmashMatrix<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `lines.end > line_count()`.
+    /// Panics if `lines` runs backwards or past `line_count()`.
     ///
     /// # Example
     ///
