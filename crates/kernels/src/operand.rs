@@ -224,7 +224,9 @@ pub(crate) fn check_smash_spmm_operands<T: Scalar>(a: &SmashMatrix<T>, b: &Smash
 /// Bitmap-0 expansion.
 ///
 /// Shared between the serial `spmm_smash` loop and the row-parallel variant
-/// in the SpGEMM engine so that both run the identical per-row arithmetic.
+/// in the SpGEMM engine so that both run the identical per-row arithmetic;
+/// the instrumented SMASH SpMMs (`spmm_sw_smash`, `spmm_hw_smash`) take
+/// their per-line block lists from it too.
 pub(crate) struct SmashMergeOperand<'a, T> {
     offs: Vec<u32>,
     starts: &'a [u32],
@@ -248,7 +250,7 @@ impl<'a, T: Scalar> SmashMergeOperand<'a, T> {
     }
 
     /// `(base ordinal, in-line offsets)` for line `l`.
-    fn line(&self, l: usize) -> (usize, &[u32]) {
+    pub(crate) fn line(&self, l: usize) -> (usize, &[u32]) {
         let base = self.starts[l] as usize;
         (base, &self.offs[base..self.starts[l + 1] as usize])
     }

@@ -8,6 +8,7 @@
 //! SpMM speedups exceed its SpMV speedups.
 
 use crate::common::{lanes_of, sites, streams, vector_ops_of};
+use crate::operand::SmashMergeOperand;
 use smash_bmu::{Bmu, BmuBinding, MAX_HW_LEVELS};
 use smash_core::{Layout, SmashMatrix};
 use smash_matrix::{Bcsr, Coo, Csc, Csr, Scalar};
@@ -259,33 +260,6 @@ pub fn spmm_bcsr<E: Engine, T: Scalar>(e: &mut E, a: &Bcsr<T>, bt: &Bcsr<T>) -> 
     c
 }
 
-/// Per-operand state for the SMASH SpMM merges: the in-line position of
-/// every block, read straight off the compressed form by one
-/// [`SmashMatrix::for_each_block_in`] walk — the full Bitmap-0 is never
-/// expanded.
-struct SmashLines<'a> {
-    /// Element offset of each block within its line, in NZA order.
-    offsets: Vec<usize>,
-    /// NZA block ordinal where each line starts (length `lines + 1`).
-    starts: &'a [u32],
-}
-
-impl SmashLines<'_> {
-    /// Element offsets of line `l`'s blocks, in block order.
-    fn line(&self, l: usize) -> &[usize] {
-        &self.offsets[self.starts[l] as usize..self.starts[l + 1] as usize]
-    }
-}
-
-fn smash_lines<T: Scalar>(sm: &SmashMatrix<T>) -> SmashLines<'_> {
-    let mut offsets = Vec::with_capacity(sm.num_blocks());
-    sm.for_each_block_in(0..sm.line_count(), |_, off, _| offsets.push(off));
-    SmashLines {
-        offsets,
-        starts: sm.line_block_starts(),
-    }
-}
-
 /// Full SMASH SpMM (paper Algorithm 2): `A` row-major and `B` column-major,
 /// each with a single-level bitmap; two BMU groups perform the index
 /// matching at *block* granularity, and matches run a SIMD block dot
@@ -346,8 +320,8 @@ pub fn spmm_hw_smash<E: Engine, T: Scalar>(
     bmu.bmapinfo(e, 0, 0, b0 as u32);
     bmu.bmapinfo(e, 1, 0, b0 as u32);
 
-    let lines_a = smash_lines(a);
-    let lines_b = smash_lines(b);
+    let lines_a = SmashMergeOperand::new(a);
+    let lines_b = SmashMergeOperand::new(b);
     let bpl_a = a.blocks_per_line();
     let bpl_b = b.blocks_per_line();
     let mut c = Coo::new(a.rows(), b.cols());
@@ -359,7 +333,7 @@ pub fn spmm_hw_smash<E: Engine, T: Scalar>(
     let row_cache = e.alloc(4 * (bpl_a + 1), 64);
 
     for i in 0..a.rows() {
-        let ablocks = lines_a.line(i);
+        let (base_a, ablocks) = lines_a.line(i);
         if ablocks.is_empty() {
             e.branch(sites::SPMM_ROW, true, &[]);
             continue;
@@ -388,7 +362,7 @@ pub fn spmm_hw_smash<E: Engine, T: Scalar>(
         }
 
         for j in 0..b.cols() {
-            let bblocks = lines_b.line(j);
+            let (base_b, bblocks) = lines_b.line(j);
             e.branch(sites::SPMM_COL, j + 1 < b.cols(), &[]);
             if bblocks.is_empty() {
                 continue;
@@ -422,8 +396,8 @@ pub fn spmm_hw_smash<E: Engine, T: Scalar>(
             let mut ind_a = e.load(streams::LINE_STARTS, row_cache, &[]);
             let (mut cur_b, mut ind_b) = adv_b(bmu, e);
             let (mut k_a, mut k_b) = (0usize, 0usize);
-            let mut ord_a = lines_a.starts[i] as usize;
-            let mut ord_b = lines_b.starts[j] as usize;
+            let mut ord_a = base_a;
+            let mut ord_b = base_b;
 
             let mut acc_u = UopId::NONE;
             let mut acc = T::ZERO;
@@ -437,7 +411,7 @@ pub fn spmm_hw_smash<E: Engine, T: Scalar>(
                 let cmp = e.alu(&[ind_a, ind_b]);
                 e.alu(&[cmp]); // counter update
                 e.branch(sites::MERGE_BOUND, true, &[]);
-                let pos_a = ablocks[k_a]; // column of A's block
+                let pos_a = ablocks[k_a] as usize * b0; // column of A's block
                 let pos_b = (cur_b - col_bit) * b0; // row of B's block
                 match pos_a.cmp(&pos_b) {
                     std::cmp::Ordering::Equal => {
@@ -530,8 +504,8 @@ pub fn spmm_sw_smash<E: Engine, T: Scalar>(
     let scratch_a = e.alloc(4 * (a.blocks_per_line() + 1), 64);
     let scratch_b = e.alloc(4 * (b.blocks_per_line() + 1), 64);
 
-    let lines_a = smash_lines(a);
-    let lines_b = smash_lines(b);
+    let lines_a = SmashMergeOperand::new(a);
+    let lines_b = SmashMergeOperand::new(b);
     let bpl_a = a.blocks_per_line();
     let bpl_b = b.blocks_per_line();
     let mut c = Coo::new(a.rows(), b.cols());
@@ -555,7 +529,7 @@ pub fn spmm_sw_smash<E: Engine, T: Scalar>(
     };
 
     for i in 0..a.rows() {
-        let ablocks = lines_a.line(i);
+        let (base_a, ablocks) = lines_a.line(i);
         if ablocks.is_empty() {
             e.branch(sites::SPMM_ROW, true, &[]);
             continue;
@@ -565,7 +539,7 @@ pub fn spmm_sw_smash<E: Engine, T: Scalar>(
         let da = scan_line(e, bm_a, bpl_a, i, ablocks.len());
         for j in 0..b.cols() {
             e.branch(sites::SPMM_COL, j + 1 < b.cols(), &[]);
-            let bblocks = lines_b.line(j);
+            let (base_b, bblocks) = lines_b.line(j);
             if bblocks.is_empty() {
                 continue;
             }
@@ -589,8 +563,8 @@ pub fn spmm_sw_smash<E: Engine, T: Scalar>(
                     std::cmp::Ordering::Equal => {
                         e.branch(sites::MATCH_CMP, true, &[cmp]);
                         hit = true;
-                        let ord_a = lines_a.starts[i] as usize + p;
-                        let ord_b = lines_b.starts[j] as usize + q;
+                        let ord_a = base_a + p;
+                        let ord_b = base_b + q;
                         for lane in 0..vector_ops_of::<T>(b0) {
                             let oa = (ord_a * b0 + lane * lanes) as u64;
                             let ob = (ord_b * b0 + lane * lanes) as u64;
