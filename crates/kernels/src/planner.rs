@@ -189,6 +189,15 @@ impl fmt::Display for DensityClass {
     }
 }
 
+/// Count, sum, sum of squares and maximum of per-row stored-value
+/// counts: everything the row statistics of a [`MatrixProfile`] need.
+struct RowMoments {
+    n: usize,
+    sum: u64,
+    sum_sq: u128,
+    max: usize,
+}
+
 /// The structural features of one operand that dispatch decisions key
 /// on. Cheap to compute — `O(rows)` from the row pointers, except
 /// [`MatrixProfile::with_block_fill`], which adds an `O(nnz)` pass and
@@ -250,17 +259,28 @@ impl MatrixProfile {
     /// count and block fill from the count the NZA keeps as blocks are
     /// added — never a bitmap expansion or a scan of the values.
     pub fn of_smash<T: Scalar>(a: &smash_core::SmashMatrix<T>) -> Self {
-        let block = a.config().block_size();
+        let block = a.config().block_size() as u128;
         let starts = a.line_block_starts();
-        let per_line = starts
-            .windows(2)
-            .map(move |w| (w[1] - w[0]) as usize * block);
-        let mut p = Self::from_row_lengths(
+        // Moments of the per-line block counts, scaled to stored values
+        // afterwards. `u64` cannot overflow: the counts sum to at most
+        // `u32::MAX`, so their squares sum to at most `u32::MAX²`.
+        let (mut sum_sq, mut max) = (0u64, 0u32);
+        for (&hi, &lo) in starts[1..].iter().zip(starts) {
+            let c = hi - lo;
+            sum_sq += u64::from(c) * u64::from(c);
+            max = max.max(c);
+        }
+        let mut p = Self::from_moments(
             a.line_count().max(1),
             a.cols(),
             a.nnz(),
             a.nza().len(),
-            per_line,
+            RowMoments {
+                n: starts.len() - 1,
+                sum: a.nza().len() as u64,
+                sum_sq: u128::from(sum_sq) * block * block,
+                max: max as usize * block as usize,
+            },
         )
         .with_shape(a.rows(), a.cols());
         p.block_fill = Some(a.locality_of_sparsity());
@@ -287,16 +307,35 @@ impl MatrixProfile {
     ) -> Self {
         // Integer sums: exact, and free of the floating-point add latency
         // chain that would otherwise bound this per-row loop.
-        let mut n = 0usize;
-        let mut sum = 0u64;
-        let mut sum_sq = 0u128;
-        let mut max = 0usize;
+        let mut m = RowMoments {
+            n: 0,
+            sum: 0,
+            sum_sq: 0,
+            max: 0,
+        };
         for len in per_row {
-            n += 1;
-            sum += len as u64;
-            sum_sq += (len as u128) * (len as u128);
-            max = max.max(len);
+            m.n += 1;
+            m.sum += len as u64;
+            m.sum_sq += (len as u128) * (len as u128);
+            m.max = m.max.max(len);
         }
+        Self::from_moments(rows, cols, nnz, stored_work, m)
+    }
+
+    /// The profile of per-row stored-value counts summarized by `m`.
+    fn from_moments(
+        rows: usize,
+        cols: usize,
+        nnz: usize,
+        stored_work: usize,
+        m: RowMoments,
+    ) -> Self {
+        let RowMoments {
+            n,
+            sum,
+            sum_sq,
+            max,
+        } = m;
         let mean = if n == 0 { 0.0 } else { sum as f64 / n as f64 };
         let var = if n == 0 {
             0.0
@@ -1134,10 +1173,19 @@ row big op=spmv format=smash threads=1 tile=1 work=400000 ns=500000
         let a = generators::clustered(256, 256, 8_000, 4, 9);
         let csr = MatrixProfile::of_csr(&a).with_block_fill(&a);
         let bcsr = MatrixProfile::of_bcsr(&Bcsr::from_csr(&a, 2, 2).unwrap());
-        let sm = MatrixProfile::of_smash(&SmashMatrix::encode(
-            &a,
-            SmashConfig::row_major(&[2, 4]).unwrap(),
-        ));
+        let encoded = SmashMatrix::encode(&a, SmashConfig::row_major(&[2, 4]).unwrap());
+        let sm = MatrixProfile::of_smash(&encoded);
+        // The SMASH row moments equal the generic per-row pass over the
+        // stored values of each line.
+        let per_line = encoded
+            .line_block_starts()
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize * 2);
+        let generic = MatrixProfile::from_row_lengths(256, 256, 0, 0, per_line);
+        assert_eq!(
+            (sm.row_mean, sm.row_cv, sm.row_max),
+            (generic.row_mean, generic.row_cv, generic.row_max)
+        );
         for p in [&csr, &bcsr, &sm] {
             assert_eq!((p.rows, p.cols, p.nnz), (256, 256, a.nnz()));
             assert!(p.stored_work >= p.nnz);
