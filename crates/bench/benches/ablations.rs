@@ -1,5 +1,5 @@
-//! Ablation benches for the design choices DESIGN.md calls out: hierarchy
-//! depth, Bitmap-0 ratio, and the simulator's prefetcher.
+//! Ablation benches for three SMASH design choices: hierarchy depth,
+//! Bitmap-0 ratio, and the simulator's prefetcher.
 //!
 //! These report simulated *cycles* as the measured quantity is wall-clock
 //! of the simulation; the interesting numbers are printed once per run.

@@ -20,6 +20,7 @@
 
 use smash_core::DynamicMatrix;
 use smash_graph::{pagerank_power, uniform_ranks, Graph, IncrementalPageRank};
+use smash_kernels::Executor;
 use smash_matrix::{generators, spmv_rows, Csr};
 use std::time::Instant;
 
@@ -125,7 +126,8 @@ fn main() {
     let g: Graph<f64> = smash_graph::generators::road_network(4096, 8192, 7);
     let tol = 1e-8;
     let mut pr = IncrementalPageRank::new(&g, 0.85, tol, 1000);
-    let cold = pr.solve();
+    let exec = Executor::serial();
+    let cold = pr.solve(&exec);
     let mut inserted = 0usize;
     for i in 0..64usize {
         let u = (i * 2654435761) % 4096;
@@ -133,8 +135,9 @@ fn main() {
         inserted += pr.add_edge(u, v) as usize;
     }
     assert!(inserted > 0, "every probe edge collided with the graph");
-    let warm = pr.solve();
+    let warm = pr.solve(&exec);
     let cold_after = pagerank_power(
+        &exec,
         &pr.snapshot().transition_matrix(),
         &uniform_ranks::<f64>(pr.vertices()),
         0.85,

@@ -19,12 +19,9 @@
 use smash_bench::zoo::{self, Candidate, ZooMatrix, CALIBRATION_RHS};
 use smash_core::{SmashConfig, SmashMatrix};
 use smash_kernels::planner::{Format, Op, Planner};
-use smash_kernels::{native, spgemm};
-use smash_matrix::{generators, Bcsr, Dense};
-use smash_parallel::{
-    par_csr_to_smash, par_spmm_dense_bcsr, par_spmm_dense_csr, par_spmm_dense_smash, par_spmv_bcsr,
-    par_spmv_csr, par_spmv_smash, ThreadPool,
-};
+use smash_kernels::{spgemm, SpmvOperand};
+use smash_matrix::{generators, spmm_dense_rows, spmv_rows, Bcsr, Dense};
+use smash_parallel::{par_csr_to_smash, par_spmm_dense_rows, par_spmv_rows, ThreadPool};
 use std::collections::BTreeSet;
 
 fn default_table_path() -> String {
@@ -46,55 +43,38 @@ fn measure(z: &ZooMatrix, c: &Candidate, pool: impl Fn(usize) -> ThreadPool) -> 
     let nnz = a.nnz().max(1);
     let reps = (2_000_000 / nnz).clamp(1, 50);
     let samples = 5;
+    // The candidate's format of `a`, read by the two sparse × dense ops
+    // (the others run on the CSR form).
+    let sparse_dense = matches!(c.op, Op::Spmv | Op::SpmmDense);
+    let (bcsr, sm);
+    let operand: SpmvOperand<'_, f64> = match c.format {
+        Format::Bcsr if sparse_dense => {
+            bcsr = Bcsr::from_csr(a, 2, 2).expect("2x2 blocking");
+            (&bcsr).into()
+        }
+        Format::Smash if sparse_dense => {
+            sm = SmashMatrix::encode(a, smash_config());
+            (&sm).into()
+        }
+        Format::Dynamic => unreachable!("the candidate grid has no dynamic rows"),
+        _ => a.into(),
+    };
+    let r = operand.row_read();
     match c.op {
         Op::Spmv => {
             let x = vec![0.5f64; a.cols()];
             let mut y = vec![0.0f64; a.rows()];
-            let ns = match (c.format, c.threads) {
-                (Format::Csr, 1) => zoo::time_ns(samples, reps, || {
-                    native::spmv_csr(a, &x, &mut y);
+            let ns = if c.threads == 1 {
+                zoo::time_ns(samples, reps, || {
+                    spmv_rows(r, &x, &mut y);
                     y.len()
-                }),
-                (Format::Csr, t) => {
-                    let p = pool(t);
-                    zoo::time_ns(samples, reps, || {
-                        par_spmv_csr(&p, a, &x, &mut y);
-                        y.len()
-                    })
-                }
-                (Format::Bcsr, t) => {
-                    let b = Bcsr::from_csr(a, 2, 2).expect("2x2 blocking");
-                    if t == 1 {
-                        zoo::time_ns(samples, reps, || {
-                            native::spmv_bcsr(&b, &x, &mut y);
-                            y.len()
-                        })
-                    } else {
-                        let p = pool(t);
-                        zoo::time_ns(samples, reps, || {
-                            par_spmv_bcsr(&p, &b, &x, &mut y);
-                            y.len()
-                        })
-                    }
-                }
-                (Format::Smash, t) => {
-                    let sm = SmashMatrix::encode(a, smash_config());
-                    if t == 1 {
-                        zoo::time_ns(samples, reps, || {
-                            native::spmv_smash(&sm, &x, &mut y);
-                            y.len()
-                        })
-                    } else {
-                        let p = pool(t);
-                        zoo::time_ns(samples, reps, || {
-                            par_spmv_smash(&p, &sm, &x, &mut y);
-                            y.len()
-                        })
-                    }
-                }
-                (Format::Dynamic, _) => {
-                    unreachable!("the candidate grid has no dynamic rows")
-                }
+                })
+            } else {
+                let p = pool(c.threads);
+                zoo::time_ns(samples, reps, || {
+                    par_spmv_rows(&p, r, &x, &mut y);
+                    y.len()
+                })
             };
             (nnz as f64, ns)
         }
@@ -102,51 +82,17 @@ fn measure(z: &ZooMatrix, c: &Candidate, pool: impl Fn(usize) -> ThreadPool) -> 
             let b = generators::dense_batch(a.cols(), CALIBRATION_RHS, 5);
             let mut cmat = Dense::zeros(a.rows(), CALIBRATION_RHS);
             let reps = reps.div_ceil(CALIBRATION_RHS).max(1);
-            let ns = match (c.format, c.threads) {
-                (Format::Csr, 1) => zoo::time_ns(samples, reps, || {
-                    native::spmm_dense_csr(a, &b, &mut cmat);
+            let ns = if c.threads == 1 {
+                zoo::time_ns(samples, reps, || {
+                    spmm_dense_rows(r, &b, &mut cmat);
                     cmat.cols()
-                }),
-                (Format::Csr, t) => {
-                    let p = pool(t);
-                    zoo::time_ns(samples, reps, || {
-                        par_spmm_dense_csr(&p, a, &b, &mut cmat);
-                        cmat.cols()
-                    })
-                }
-                (Format::Bcsr, t) => {
-                    let bc = Bcsr::from_csr(a, 2, 2).expect("2x2 blocking");
-                    if t == 1 {
-                        zoo::time_ns(samples, reps, || {
-                            native::spmm_dense_bcsr(&bc, &b, &mut cmat);
-                            cmat.cols()
-                        })
-                    } else {
-                        let p = pool(t);
-                        zoo::time_ns(samples, reps, || {
-                            par_spmm_dense_bcsr(&p, &bc, &b, &mut cmat);
-                            cmat.cols()
-                        })
-                    }
-                }
-                (Format::Smash, t) => {
-                    let sm = SmashMatrix::encode(a, smash_config());
-                    if t == 1 {
-                        zoo::time_ns(samples, reps, || {
-                            native::spmm_dense_smash(&sm, &b, &mut cmat);
-                            cmat.cols()
-                        })
-                    } else {
-                        let p = pool(t);
-                        zoo::time_ns(samples, reps, || {
-                            par_spmm_dense_smash(&p, &sm, &b, &mut cmat);
-                            cmat.cols()
-                        })
-                    }
-                }
-                (Format::Dynamic, _) => {
-                    unreachable!("the candidate grid has no dynamic rows")
-                }
+                })
+            } else {
+                let p = pool(c.threads);
+                zoo::time_ns(samples, reps, || {
+                    par_spmm_dense_rows(&p, r, &b, &mut cmat);
+                    cmat.cols()
+                })
             };
             ((nnz * CALIBRATION_RHS) as f64, ns)
         }

@@ -40,8 +40,8 @@ pub fn for_each_line_block<T: Scalar>(
 /// This is the per-block body of every SMASH SpMV path: the
 /// [`RowRead`] granule body of [`SmashMatrix`] calls it for each block
 /// that [`SmashMatrix::for_each_block_in`] yields, and both the serial
-/// (`smash_kernels::native::spmv_smash`) and the parallel row-range kernel
-/// (`smash_parallel::par_spmv_smash`) run that granule body, so their
+/// driver (`smash_matrix::spmv_rows`) and the parallel row-range driver
+/// (`smash_parallel::par_spmv_rows`) run that granule body, so their
 /// arithmetic order can never diverge and parallel output stays
 /// bit-identical to serial at every precision and under every ISA tier.
 ///
@@ -64,8 +64,8 @@ pub fn block_dot<T: Scalar>(block: &[T], x: &[T], col: usize, n: usize) -> T {
 /// output row `out` (`out[j] += Σ_k block[k] * b[col + k][j]`).
 ///
 /// This is the per-block body of every *batched* SMASH SpMM path: the
-/// serial `smash_kernels::native::spmm_dense_smash` and the parallel
-/// `smash_parallel::par_spmm_dense_smash` both call it, so their
+/// serial driver `smash_matrix::spmm_dense_rows` and the parallel
+/// `smash_parallel::par_spmm_dense_rows` both call it over SMASH, so their
 /// arithmetic order can never diverge. The columns of `b` are processed in
 /// register-blocked tiles of width 8/4/1; within a tile each column
 /// follows exactly the lane-striped order of [`block_dot`], so column `j`

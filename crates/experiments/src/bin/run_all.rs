@@ -1,6 +1,5 @@
-//! Regenerates every table and figure in one run (the source of
-//! EXPERIMENTS.md). Flags: --fast, --scale-spmv N, --scale-spmm N,
-//! --scale-graph N, --seed N.
+//! Regenerates every table and figure in one run. Flags: --fast,
+//! --scale-spmv N, --scale-spmm N, --scale-graph N, --seed N.
 
 use smash_experiments::{figs, print_tables, ExpConfig};
 

@@ -33,6 +33,6 @@ pub fn run(_cfg: &ExpConfig) -> Vec<Table> {
             paper_ref::AREA_OVERHEAD_PERCENT
         ),
     ]);
-    t.note("analytic SRAM/register model substitutes CACTI 6.5 (DESIGN.md)");
+    t.note("analytic SRAM/register model substitutes CACTI 6.5 (not available offline; see smash_bmu::area)");
     vec![t]
 }

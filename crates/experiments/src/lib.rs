@@ -1,9 +1,9 @@
 //! Experiment harness that regenerates every table and figure of the SMASH
-//! paper's evaluation (see DESIGN.md for the experiment index).
+//! paper's evaluation.
 //!
 //! Each figure lives in [`figs`] as a `run(&ExpConfig) -> Vec<Table>`
-//! function; the binaries in `src/bin/` are thin wrappers, and
-//! `run_all` regenerates everything for EXPERIMENTS.md.
+//! function; the binaries in `src/bin/` are thin wrappers (one per figure
+//! or table), and `run_all` regenerates everything in one run.
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]

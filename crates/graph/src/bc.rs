@@ -6,12 +6,14 @@
 //! Brandes' algorithm: a forward sweep of SpMVs accumulates shortest-path
 //! counts (`sigma`) level by level, then a backward sweep of SpMVs
 //! accumulates dependencies (`delta`). Both sweeps route their SpMVs
-//! through the selected mechanism.
+//! through the selected mechanism: an instrumented kernel on a simulator
+//! engine ([`betweenness`]) or the native executor
+//! ([`betweenness_native`]).
 
 use crate::{Graph, GraphMechanism};
 use smash_bmu::Bmu;
 use smash_core::{SmashConfig, SmashMatrix};
-use smash_kernels::spmv;
+use smash_kernels::{spmv, Executor, SpmvOperand};
 use smash_matrix::Scalar;
 use smash_sim::{Engine, StreamId};
 
@@ -99,6 +101,82 @@ pub fn betweenness_reference<T: Scalar>(g: &Graph<T>, cfg: &BcConfig) -> Vec<T> 
                     }
                 }
                 delta[u as usize] += sigma[u as usize] * acc;
+            }
+            for &v in &levels[k] {
+                bc[v as usize] += delta[v as usize];
+            }
+        }
+    }
+    bc
+}
+
+/// Native betweenness centrality in the level-synchronous linear-algebra
+/// form, every SpMV routed through `exec`: the forward sweep multiplies
+/// the frontier by `at` (the adjacency transpose) once per level to
+/// accumulate shortest-path counts, the backward sweep multiplies by `a`
+/// (the adjacency) once per level to accumulate dependencies.
+///
+/// The operands may be CSR, SMASH or any other executor format (`a` and
+/// `at` need not share one). The executor's kernels are bit-identical at
+/// every mode and thread count, so the result is too; against
+/// [`betweenness_reference`] it agrees to floating-point tolerance.
+///
+/// # Panics
+///
+/// Panics if the operands are not square and of equal size, or with the
+/// executor's typed error message (e.g. a column-major SMASH operand).
+pub fn betweenness_native<'a, T: Scalar>(
+    exec: &Executor,
+    a: impl Into<SpmvOperand<'a, T>>,
+    at: impl Into<SpmvOperand<'a, T>>,
+    cfg: &BcConfig,
+) -> Vec<T> {
+    let (a, at) = (a.into(), at.into());
+    let n = a.rows();
+    assert!(
+        a.cols() == n && at.rows() == n && at.cols() == n,
+        "adjacency and transpose must be square and of equal size"
+    );
+    let mut t = vec![T::ZERO; n];
+    let mut bc = vec![T::ZERO; n];
+    for &s in &cfg.sources {
+        // Forward sweep: discover levels and accumulate sigma.
+        let mut dist = vec![-1i32; n];
+        let mut sigma = vec![T::ZERO; n];
+        dist[s as usize] = 0;
+        sigma[s as usize] = T::ONE;
+        let mut levels: Vec<Vec<u32>> = vec![vec![s]];
+        while levels.len() < cfg.max_levels {
+            let frontier = levels.last().expect("non-empty");
+            // f = sigma masked to the frontier.
+            let mut f = vec![T::ZERO; n];
+            for &u in frontier {
+                f[u as usize] = sigma[u as usize];
+            }
+            exec.spmv(at, &f, &mut t);
+            let mut next = Vec::new();
+            for (v, &tv) in t.iter().enumerate() {
+                if tv > T::ZERO && dist[v] == -1 {
+                    dist[v] = levels.len() as i32;
+                    sigma[v] += tv;
+                    next.push(v as u32);
+                }
+            }
+            if next.is_empty() {
+                break;
+            }
+            levels.push(next);
+        }
+        // Backward sweep: dependency accumulation, one SpMV per level.
+        let mut delta = vec![T::ZERO; n];
+        for k in (1..levels.len()).rev() {
+            let mut w = vec![T::ZERO; n];
+            for &v in &levels[k] {
+                w[v as usize] = (T::ONE + delta[v as usize]) / sigma[v as usize];
+            }
+            exec.spmv(a, &w, &mut t);
+            for &u in &levels[k - 1] {
+                delta[u as usize] += sigma[u as usize] * t[u as usize];
             }
             for &v in &levels[k] {
                 bc[v as usize] += delta[v as usize];

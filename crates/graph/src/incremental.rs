@@ -21,7 +21,8 @@
 
 use crate::Graph;
 use smash_core::DynamicMatrix;
-use smash_matrix::{spmv_rows, RowRead, Scalar};
+use smash_kernels::{Executor, SpmvOperand};
+use smash_matrix::Scalar;
 
 /// Result of a convergence-based power iteration.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,27 +35,32 @@ pub struct PowerSolve<T> {
 }
 
 /// Power iteration `r' = d·M·r + (1−d)/n` from an arbitrary starting
-/// vector, run to convergence.
+/// vector, every SpMV routed through `exec`.
 ///
-/// Generic over any row-readable operand, so the same loop body serves
-/// plain [`Csr`](smash_matrix::Csr) transition matrices and
-/// [`DynamicMatrix`] overlays — identical operands produce bit-identical
-/// trajectories.
+/// The one PageRank body of the crate, over any executor operand — a
+/// [`Csr`](smash_matrix::Csr) or SMASH transition matrix, or a
+/// [`DynamicMatrix`] overlay. Identical operands produce bit-identical
+/// trajectories, and the executor's kernels are bit-identical at every
+/// mode and thread count, so the result is too.
 ///
 /// Stops when the L1 distance between successive rank vectors drops
-/// below `tol`, or after `max_iters` iterations.
+/// below `tol`, or after `max_iters` iterations; `tol = 0.0` runs exactly
+/// `max_iters` iterations (fixed-iteration PageRank).
 ///
 /// # Panics
 ///
-/// Panics if `r0.len()` differs from the operand's row count or if the
-/// operand is not square.
-pub fn pagerank_power<T: Scalar, R: RowRead<T> + ?Sized>(
-    m: &R,
+/// Panics if `r0.len()` differs from the operand's row count, if the
+/// operand is not square, or with the executor's typed error message
+/// (e.g. a column-major SMASH operand).
+pub fn pagerank_power<'a, T: Scalar>(
+    exec: &Executor,
+    m: impl Into<SpmvOperand<'a, T>>,
     r0: &[T],
     damping: f64,
     tol: f64,
     max_iters: usize,
 ) -> PowerSolve<T> {
+    let m = m.into();
     let n = m.rows();
     assert_eq!(m.cols(), n, "transition matrix must be square");
     assert_eq!(r0.len(), n, "rank vector length must match vertex count");
@@ -64,7 +70,7 @@ pub fn pagerank_power<T: Scalar, R: RowRead<T> + ?Sized>(
     let mut y = vec![T::ZERO; n];
     let mut iterations = 0;
     while iterations < max_iters {
-        spmv_rows(m, &r, &mut y);
+        exec.spmv(m, &r, &mut y);
         iterations += 1;
         let mut residual = 0.0f64;
         for (ri, yi) in r.iter_mut().zip(&y) {
@@ -93,13 +99,15 @@ pub fn uniform_ranks<T: Scalar>(n: usize) -> Vec<T> {
 ///
 /// ```
 /// use smash_graph::{Graph, IncrementalPageRank};
+/// use smash_kernels::Executor;
 ///
+/// let exec = Executor::auto();
 /// let g = Graph::<f64>::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
 /// let mut pr = IncrementalPageRank::new(&g, 0.85, 1e-10, 200);
-/// let cold = pr.solve();
+/// let cold = pr.solve(&exec);
 /// assert_eq!(cold.ranks.len(), 4);
 /// assert!(pr.add_edge(1, 3)); // a handful of overlay writes, no rebuild
-/// let warm = pr.solve(); // warm-starts from the previous ranks
+/// let warm = pr.solve(&exec); // warm-starts from the previous ranks
 /// assert!(warm.iterations <= 200);
 /// ```
 #[derive(Debug, Clone)]
@@ -178,14 +186,22 @@ impl<T: Scalar> IncrementalPageRank<T> {
         true
     }
 
-    /// Solves to convergence, warm-starting from the previous solution
-    /// when one exists, and stores the result for the next warm start.
-    pub fn solve(&mut self) -> PowerSolve<T> {
+    /// Solves to convergence through `exec`, warm-starting from the
+    /// previous solution when one exists, and stores the result for the
+    /// next warm start.
+    pub fn solve(&mut self, exec: &Executor) -> PowerSolve<T> {
         let r0 = match &self.ranks {
             Some(r) => r.clone(),
             None => uniform_ranks(self.vertices()),
         };
-        let solve = pagerank_power(&self.matrix, &r0, self.damping, self.tol, self.max_iters);
+        let solve = pagerank_power(
+            exec,
+            &self.matrix,
+            &r0,
+            self.damping,
+            self.tol,
+            self.max_iters,
+        );
         self.ranks = Some(solve.ranks.clone());
         solve
     }
@@ -215,13 +231,24 @@ mod tests {
     use super::*;
     use crate::generators;
 
+    fn exec() -> Executor {
+        Executor::serial()
+    }
+
     #[test]
     fn cold_solve_matches_static_power_iteration() {
         let g = generators::road_network(64, 128, 1);
         let mut pr = IncrementalPageRank::new(&g, 0.85, 1e-12, 500);
-        let dynamic = pr.solve();
+        let dynamic = pr.solve(&exec());
         let m = g.transition_matrix();
-        let fixed = pagerank_power(&m, &uniform_ranks::<f64>(g.vertices()), 0.85, 1e-12, 500);
+        let fixed = pagerank_power(
+            &exec(),
+            &m,
+            &uniform_ranks::<f64>(g.vertices()),
+            0.85,
+            1e-12,
+            500,
+        );
         assert_eq!(dynamic.ranks, fixed.ranks);
         assert_eq!(dynamic.iterations, fixed.iterations);
     }
@@ -239,8 +266,8 @@ mod tests {
         // transition matrix: the full trajectory must agree bitwise.
         let rebuilt = pr.snapshot().transition_matrix();
         let r0 = uniform_ranks::<f64>(pr.vertices());
-        let dynamic = pagerank_power(pr.matrix(), &r0, 0.85, 1e-12, 500);
-        let oracle = pagerank_power(&rebuilt, &r0, 0.85, 1e-12, 500);
+        let dynamic = pagerank_power(&exec(), pr.matrix(), &r0, 0.85, 1e-12, 500);
+        let oracle = pagerank_power(&exec(), &rebuilt, &r0, 0.85, 1e-12, 500);
         assert_eq!(dynamic.ranks, oracle.ranks);
         assert_eq!(dynamic.iterations, oracle.iterations);
     }
@@ -250,9 +277,9 @@ mod tests {
         let g = generators::road_network(128, 256, 3);
         let tol = 1e-10;
         let mut pr = IncrementalPageRank::new(&g, 0.85, tol, 1000);
-        let cold_iters = pr.solve().iterations;
+        let cold_iters = pr.solve(&exec()).iterations;
         assert!(pr.add_edge(0, 100));
-        let warm = pr.solve();
+        let warm = pr.solve(&exec());
         assert!(
             warm.iterations <= cold_iters,
             "warm {} vs cold {cold_iters}",
@@ -262,6 +289,7 @@ mod tests {
         // point (up to tolerance).
         let rebuilt = pr.snapshot().transition_matrix();
         let cold = pagerank_power(
+            &exec(),
             &rebuilt,
             &uniform_ranks::<f64>(pr.vertices()),
             0.85,
@@ -291,9 +319,9 @@ mod tests {
         pr.add_edge(0, 31);
         pr.add_edge(7, 19);
         let r0 = uniform_ranks::<f64>(pr.vertices());
-        let before = pagerank_power(pr.matrix(), &r0, 0.85, 1e-12, 500);
+        let before = pagerank_power(&exec(), pr.matrix(), &r0, 0.85, 1e-12, 500);
         pr.compact();
-        let after = pagerank_power(pr.matrix(), &r0, 0.85, 1e-12, 500);
+        let after = pagerank_power(&exec(), pr.matrix(), &r0, 0.85, 1e-12, 500);
         assert_eq!(before, after);
     }
 }

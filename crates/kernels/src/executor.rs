@@ -1,14 +1,19 @@
-//! The unified **executor** layer: one `spmv`/`spmm` entry point over
-//! *format × precision × serial/parallel*.
+//! The unified **executor** layer: the one public entry surface of the
+//! native kernels over *format × precision × serial/parallel*.
 //!
-//! The native kernel families of this crate expose roughly ten per-format
-//! functions (`spmv_csr`, `spmv_bcsr`, `spmv_smash`, their `par_*` twins,
-//! the SpMM variants, the compressor…). The [`Executor`] hides that fan-out
-//! behind a single dispatcher: callers hand it any supported operand
-//! format — [`Csr`], [`Bcsr`](smash_matrix::Bcsr), a compressed
-//! [`SmashMatrix`] or a [`DynamicMatrix`] overlay — at any
-//! [`Scalar`] precision, and the executor picks the matching kernel and
-//! decides whether to run it serially or across a thread pool.
+//! Callers hand the [`Executor`] any supported operand format — [`Csr`],
+//! [`Bcsr`](smash_matrix::Bcsr), a compressed [`SmashMatrix`] or a
+//! [`DynamicMatrix`] overlay — at any [`Scalar`] precision. The operand's
+//! [`RowRead`](smash_matrix::RowRead) view feeds one serial driver
+//! (`smash_matrix::spmv_rows` / `spmm_dense_rows`) or one parallel driver
+//! (`smash_parallel::par_spmv_rows` / `par_spmm_dense_rows`); there is no
+//! per-format kernel function to pick.
+//!
+//! Each operation has **one body**, its `try_*` call: validation, the
+//! [`Plan`], the serial/parallel choice and the degradation ladder live
+//! there. The panicking calls (`spmv`, `spmm_dense`, `spgemm`, `encode`)
+//! unwrap it and panic with the typed [`SmashError`]'s message, so the two
+//! tiers cannot drift apart.
 //!
 //! Three [`ExecMode`]s exist:
 //!
@@ -19,10 +24,14 @@
 //!   cost-model [`Planner`]: the operand is
 //!   profiled ([`MatrixProfile`]) and
 //!   scored against the checked-in calibration table; when no
-//!   calibration row matches, the legacy shape/nnz threshold tier
-//!   ([`AUTO_PARALLEL_NNZ`], [`AUTO_MIN_ROWS_PER_THREAD`]) decides,
-//!   exactly as before the planner existed. `Executor::plan_*` expose
-//!   the decision — with its rationale — without running anything.
+//!   calibration row matches, the planner's threshold tier
+//!   ([`AUTO_PARALLEL_NNZ`], [`AUTO_MIN_ROWS_PER_THREAD`]) decides.
+//!
+//! The fixed modes pin their plan (format, worker count, lead tile) with
+//! no profile or planner behind it. Either way one predicate — does the
+//! plan name more than one worker? — decides whether the pool runs, and
+//! `Executor::plan_*` return the same plan a call acts on, with its
+//! rationale, without running anything.
 //!
 //! **Determinism guarantee:** because every parallel kernel in
 //! `smash-parallel` is bit-identical to its serial counterpart, the
@@ -59,14 +68,13 @@ use smash_parallel::{
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Minimum work items before the **threshold fallback tier** reaches for
-/// the thread pool: below this, partitioning + wakeup overhead dominates
-/// the kernel. Since the planner refactor this constant only decides when
-/// no calibration row matches the operand (see
-/// [`Planner`]).
+/// Minimum work items before the planner's **threshold tier** reaches
+/// for the thread pool: below this, partitioning + wakeup overhead
+/// dominates the kernel. It decides only under `Auto`, when no
+/// calibration row matches the operand (see [`Planner`]).
 pub const AUTO_PARALLEL_NNZ: usize = 16_384;
 
-/// Minimum rows-per-worker before the threshold fallback tier
+/// Minimum rows-per-worker before the threshold tier
 /// parallelizes: with fewer, the contiguous row ranges are too small to
 /// amortize dispatch.
 pub const AUTO_MIN_ROWS_PER_THREAD: usize = 4;
@@ -76,7 +84,8 @@ pub const AUTO_MIN_ROWS_PER_THREAD: usize = 4;
 pub enum ExecMode {
     /// Always run the single-threaded native kernel.
     Serial,
-    /// Always run the thread-pool kernel.
+    /// Always run the thread-pool kernel (a one-worker pool runs the
+    /// serial kernel directly: same bits, no hand-off).
     Parallel,
     /// Decide per call from the operand's shape and density.
     Auto,
@@ -130,15 +139,18 @@ impl MemoryBudget {
     }
 }
 
-/// How the fallible tier treats NaN/±infinity in operand values.
+/// How an executor treats NaN/±infinity in operand values. The policy
+/// applies to every call: the `try_*` bodies check it, and the panicking
+/// calls built on them panic with the same typed error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NonFinitePolicy {
-    /// IEEE semantics: non-finite inputs flow through the arithmetic
-    /// (the panicking tier's only behaviour).
+    /// IEEE semantics: non-finite inputs flow through the arithmetic.
     #[default]
     Propagate,
-    /// `try_*` calls scan operand values up front and fail with
-    /// [`SmashError::NonFinite`] before running any kernel.
+    /// Every call scans operand values up front and fails with
+    /// [`SmashError::NonFinite`] (`try_*`) or panics with its message
+    /// (`spmv`, `spmm_dense`, `spgemm`, `encode`) before running any
+    /// kernel.
     Reject,
 }
 
@@ -217,8 +229,9 @@ impl ExecReport {
     }
 
     fn note(&mut self, d: Degradation) {
-        self.plan.rationale.push_str("; ");
-        self.plan.rationale.push_str(&d.to_string());
+        let rationale = self.plan.rationale.to_mut();
+        rationale.push_str("; ");
+        rationale.push_str(&d.to_string());
         self.degradations.push(d);
     }
 
@@ -235,8 +248,8 @@ impl ExecReport {
 /// run an `f64` solve and an `f32` inference pass back to back.
 ///
 /// See the [module docs](self) for the dispatch rules and the determinism
-/// guarantee, and [`Executor::spmv`] / [`Executor::spmm`] for the entry
-/// points.
+/// guarantee, and [`Executor::try_spmv`] for the shape every operation
+/// shares.
 #[derive(Debug)]
 pub struct Executor {
     mode: ExecMode,
@@ -251,7 +264,7 @@ pub struct Executor {
     pool_error: Option<String>,
     /// Transient-memory cap for `try_spgemm` (`None`: unbounded).
     budget: Option<MemoryBudget>,
-    /// NaN/infinity policy of the `try_*` tier.
+    /// NaN/infinity policy of every call.
     nonfinite: NonFinitePolicy,
 }
 
@@ -371,7 +384,7 @@ impl Executor {
         self
     }
 
-    /// Sets the NaN/infinity policy of the `try_*` tier.
+    /// Sets the NaN/infinity policy of every call.
     #[must_use]
     pub fn with_non_finite_policy(mut self, policy: NonFinitePolicy) -> Self {
         self.nonfinite = policy;
@@ -383,7 +396,7 @@ impl Executor {
         self.budget
     }
 
-    /// The NaN/infinity policy of the `try_*` tier.
+    /// The NaN/infinity policy of every call.
     pub fn non_finite_policy(&self) -> NonFinitePolicy {
         self.nonfinite
     }
@@ -405,75 +418,58 @@ impl Executor {
         self.pool.as_ref().map_or(1, ThreadPool::threads)
     }
 
-    /// Whether a call over `rows` output rows and `work` stored values
-    /// runs on the pool under the current mode, judged by the legacy
-    /// **threshold tier** alone. This is the planner's fallback rule;
-    /// ops the planner doesn't model (block-granular SMASH×SMASH SpMM)
-    /// still use it directly.
-    fn parallelize(&self, rows: usize, work: usize) -> bool {
-        match self.mode {
-            ExecMode::Serial => false,
-            ExecMode::Parallel => self.pool.is_some(),
-            ExecMode::Auto => {
-                let threads = self.threads();
-                threads > 1
-                    && work >= AUTO_PARALLEL_NNZ
-                    && rows >= AUTO_MIN_ROWS_PER_THREAD * threads
-            }
+    /// The rationale of a fixed mode's pinned plans (only `Serial` and
+    /// `Parallel` executors have no planner).
+    fn pinned_rationale(&self) -> &'static str {
+        if self.mode == ExecMode::Serial {
+            "pinned by the Serial executor: the serial kernel"
+        } else {
+            "pinned by the Parallel executor: one range per pool worker"
         }
     }
 
-    /// Whether an `Auto` call dispatches wide, as judged by the planner
-    /// over the operand's profile. `Serial`/`Parallel` modes keep their
-    /// unconditional answer.
-    fn planned_wide(
-        &self,
-        op: Op,
-        format: Format,
-        profile: impl FnOnce() -> MatrixProfile,
-        rhs_cols: usize,
-        work: Option<u64>,
-    ) -> bool {
-        match self.mode {
-            ExecMode::Serial => false,
-            ExecMode::Parallel => self.pool.is_some(),
-            ExecMode::Auto => self
-                .make_plan(op, format, &profile(), rhs_cols, work)
-                .choice
-                .parallel(),
-        }
-    }
-
-    /// Builds the plan an `Auto` dispatch would act on (the fixed modes
-    /// consult the built-in planner, so explainability never requires an
-    /// `Auto` executor).
+    /// Builds the [`Plan`] a call acts on. `Auto` asks its planner, which
+    /// profiles the operand and scores the calibrated candidates (the
+    /// threshold rule is the planner's fallback tier). The fixed modes pin
+    /// the plan to their own worker count and build no profile, so
+    /// `profile` and `work` only run under `Auto`.
+    ///
+    /// Every call then applies one dispatch predicate,
+    /// [`Choice::parallel`](crate::planner::Choice::parallel): the pool
+    /// runs iff the plan names more than one worker. A pool-less executor
+    /// never plans wide (its [`threads`](Self::threads) is 1), and a
+    /// one-worker pool runs the serial kernel directly — the same bits
+    /// without the hand-off.
     fn make_plan(
         &self,
         op: Op,
         format: Format,
-        profile: &MatrixProfile,
         rhs_cols: usize,
-        work: Option<u64>,
+        profile: impl FnOnce() -> MatrixProfile,
+        work: impl FnOnce() -> Option<u64>,
     ) -> Plan {
-        let mut req = PlanRequest::pinned(op, format, self.threads()).with_rhs(rhs_cols);
-        if let Some(w) = work {
-            req = req.with_work(w);
-        }
+        let req = PlanRequest::pinned(op, format, self.threads()).with_rhs(rhs_cols);
         match &self.planner {
-            Some(p) => p.plan(profile, &req),
-            None => Planner::built_in().plan(profile, &req),
+            Some(planner) => {
+                let req = match work() {
+                    Some(w) => req.with_work(w),
+                    None => req,
+                };
+                planner.plan(&profile(), &req)
+            }
+            None => Plan::pinned(&req, self.pinned_rationale()),
         }
     }
 
     /// The [`Plan`] — choice, predicted cost, rationale — that
-    /// [`Executor::spmv`] would act on for this operand, without running
-    /// anything.
+    /// [`Executor::spmv`] acts on for this operand, without running
+    /// anything. A `Serial`/`Parallel` executor returns its pinned plan.
     pub fn plan_spmv<'a, T: Scalar>(&self, a: impl Into<SpmvOperand<'a, T>>) -> Plan {
         let a = a.into();
-        self.make_plan(a.op_spmv(), a.format(), &a.profile(), 1, None)
+        self.make_plan(a.op_spmv(), a.format(), 1, || a.profile(), || None)
     }
 
-    /// The [`Plan`] that [`Executor::spmm_dense`] would act on for this
+    /// The [`Plan`] that [`Executor::spmm_dense`] acts on for this
     /// operand and a `rhs_cols`-wide batch.
     pub fn plan_spmm_dense<'a, T: Scalar>(
         &self,
@@ -481,29 +477,40 @@ impl Executor {
         rhs_cols: usize,
     ) -> Plan {
         let a = a.into();
-        self.make_plan(a.op_spmm_dense(), a.format(), &a.profile(), rhs_cols, None)
-    }
-
-    /// The [`Plan`] that [`Executor::spgemm`] would act on, including
-    /// the symbolic flop count it weighs.
-    pub fn plan_spgemm<T: Scalar>(&self, a: &Csr<T>, b: &Csr<T>) -> Plan {
-        let work = crate::spgemm::stored_work(a, b);
         self.make_plan(
-            Op::Spgemm,
-            Format::Csr,
-            &MatrixProfile::of_csr(a),
-            1,
-            Some(work),
+            a.op_spmm_dense(),
+            a.format(),
+            rhs_cols,
+            || a.profile(),
+            || None,
         )
     }
 
-    /// The [`Plan`] that [`Executor::encode`] would act on.
+    /// The [`Plan`] that [`Executor::spgemm`] acts on, including (under
+    /// `Auto`) the symbolic flop count it weighs.
+    pub fn plan_spgemm<T: Scalar>(&self, a: &Csr<T>, b: &Csr<T>) -> Plan {
+        self.make_plan(
+            Op::Spgemm,
+            Format::Csr,
+            1,
+            || MatrixProfile::of_csr(a),
+            || Some(crate::spgemm::stored_work(a, b)),
+        )
+    }
+
+    /// The [`Plan`] that [`Executor::encode`] acts on.
     pub fn plan_encode<T: Scalar>(&self, a: &Csr<T>) -> Plan {
-        self.make_plan(Op::Encode, Format::Csr, &MatrixProfile::of_csr(a), 1, None)
+        self.make_plan(
+            Op::Encode,
+            Format::Csr,
+            1,
+            || MatrixProfile::of_csr(a),
+            || None,
+        )
     }
 
     /// Sparse matrix-vector product `y = A * x` over any supported format
-    /// and precision.
+    /// and precision: [`Executor::try_spmv`], panicking on its error.
     ///
     /// Dispatches to the serial or parallel kernel of the operand's format
     /// per the executor's [`ExecMode`]; the result is bit-identical
@@ -511,8 +518,10 @@ impl Executor {
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != a.cols()`, `y.len() != a.rows()`, or (for
-    /// SMASH operands) the matrix is not row-major.
+    /// Panics with the [`SmashError`] message of [`Executor::try_spmv`] —
+    /// e.g. `"spmv: dimension mismatch …"` if `x.len() != a.cols()` or
+    /// `y.len() != a.rows()`, a structure error for a corrupt operand, or
+    /// a non-finite value under [`NonFinitePolicy::Reject`].
     ///
     /// # Example
     ///
@@ -530,27 +539,20 @@ impl Executor {
     /// exec.spmv(&sm, &x, &mut y_sm);   // compressed operand, same call
     /// # Ok::<(), smash_core::SmashError>(())
     /// ```
+    #[track_caller]
     pub fn spmv<'a, T: Scalar>(&self, a: impl Into<SpmvOperand<'a, T>>, x: &[T], y: &mut [T]) {
-        let a = a.into();
-        let wide = self.planned_wide(a.op_spmv(), a.format(), || a.profile(), 1, None);
-        let r = a.row_read();
-        if wide {
-            par_spmv_rows(self.pool(), r, x, y);
-        } else {
-            spmv_rows(r, x, y);
-        }
+        or_panic(self.try_spmv(a, x, y));
     }
 
     /// Batched sparse × dense multiply `C = A * B` over any supported
     /// sparse format: `B` is a dense batch of right-hand-side columns
     /// (e.g. many concurrent queries against one served matrix), processed
     /// in register-blocked column tiles so the sparse operand is streamed
-    /// once per tile instead of once per vector.
+    /// once per tile instead of once per vector. This is
+    /// [`Executor::try_spmm_dense`], panicking on its error.
     ///
-    /// Dispatches to the serial or parallel kernel of the operand's format
-    /// per the executor's [`ExecMode`]. Under [`ExecMode::Auto`] the
-    /// decision weighs the *total* work — stored values × right-hand
-    /// sides — against [`AUTO_PARALLEL_NNZ`], so a matrix too small to
+    /// Under [`ExecMode::Auto`] the decision weighs the *total* work —
+    /// stored values × right-hand sides — so a matrix too small to
     /// parallelize one SpMV can still go wide once enough right-hand
     /// sides are batched. Whichever path runs, the result is bit-identical
     /// — and column `j` of `C` is bit-identical to [`Executor::spmv`]
@@ -558,9 +560,9 @@ impl Executor {
     ///
     /// # Panics
     ///
-    /// Panics if `b.rows() != a.cols()`, `c.rows() != a.rows()`,
-    /// `c.cols() != b.cols()`, or (for SMASH operands) the matrix is not
-    /// row-major.
+    /// Panics with the [`SmashError`] message of
+    /// [`Executor::try_spmm_dense`] — e.g. on `b.rows() != a.cols()`,
+    /// `c.rows() != a.rows()` or `c.cols() != b.cols()`.
     ///
     /// # Example
     ///
@@ -578,32 +580,21 @@ impl Executor {
     /// assert_eq!(c, serial); // bit-identical across modes
     /// # Ok::<(), smash_matrix::MatrixError>(())
     /// ```
+    #[track_caller]
     pub fn spmm_dense<'a, T: Scalar>(
         &self,
         a: impl Into<SpmvOperand<'a, T>>,
         b: &Dense<T>,
         c: &mut Dense<T>,
     ) {
-        let a = a.into();
-        let wide = self.planned_wide(
-            a.op_spmm_dense(),
-            a.format(),
-            || a.profile(),
-            b.cols(),
-            None,
-        );
-        let r = a.row_read();
-        if wide {
-            par_spmm_dense_rows(self.pool(), r, b, c);
-        } else {
-            spmm_dense_rows(r, b, c);
-        }
+        or_panic(self.try_spmm_dense(a, b, c));
     }
 
     /// Sparse × sparse multiply `C = A · B`, both operands CSR, through
     /// the row-wise Gustavson engine ([`crate::spgemm`]): symbolic sizing,
     /// per-row dense/hash accumulators, direct CSR emission with exact
-    /// allocation.
+    /// allocation. This is [`Executor::try_spgemm`], panicking on its
+    /// error.
     ///
     /// Under [`ExecMode::Auto`] the serial/parallel decision weighs the
     /// **stored work** `Σ_{(i,k) ∈ A} nnz(B[k,:])` — the flop count
@@ -614,7 +605,8 @@ impl Executor {
     ///
     /// # Panics
     ///
-    /// Panics if `a.cols() != b.rows()`.
+    /// Panics with the [`SmashError`] message of [`Executor::try_spgemm`]
+    /// — e.g. `"spgemm: dimension mismatch …"` if `a.cols() != b.rows()`.
     ///
     /// # Example
     ///
@@ -626,19 +618,9 @@ impl Executor {
     /// let c = Executor::auto().spgemm(&a, &a);
     /// assert_eq!(c, Executor::serial().spgemm(&a, &a)); // bit-identical
     /// ```
+    #[track_caller]
     pub fn spgemm<T: Scalar>(&self, a: &Csr<T>, b: &Csr<T>) -> Csr<T> {
-        let work = crate::spgemm::stored_work(a, b);
-        if self.planned_wide(
-            Op::Spgemm,
-            Format::Csr,
-            || MatrixProfile::of_csr(a),
-            1,
-            Some(work),
-        ) {
-            crate::spgemm::par_spgemm(self.pool(), a, b)
-        } else {
-            crate::spgemm::spgemm(a, b)
-        }
+        or_panic(self.try_spgemm(a, b)).0
     }
 
     /// Sparse × sparse multiply emitted straight into the SMASH encoding
@@ -656,17 +638,18 @@ impl Executor {
         b: &Csr<T>,
         config: SmashConfig,
     ) -> SmashMatrix<T> {
-        let work = crate::spgemm::stored_work(a, b);
-        if self.planned_wide(
+        let (bounds, work) = crate::spgemm::symbolic_bounds(a, b);
+        let plan = self.make_plan(
             Op::Spgemm,
             Format::Csr,
-            || MatrixProfile::of_csr(a),
             1,
-            Some(work),
-        ) {
-            crate::spgemm::par_spgemm_smash(self.pool(), a, b, config)
+            || MatrixProfile::of_csr(a),
+            || Some(work),
+        );
+        if plan.choice.parallel() {
+            crate::spgemm::par_spgemm_smash_bounded(self.pool(), a, b, &bounds, config)
         } else {
-            crate::spgemm::spgemm_smash(a, b, config)
+            crate::spgemm::spgemm_smash_bounded(a, b, &bounds, config)
         }
     }
 
@@ -686,12 +669,11 @@ impl Executor {
     }
 
     /// Block-granular SMASH SpMM (`A` row-major × `B` column-major, both
-    /// 1-level), serial or row-parallel per the executor's mode. The
-    /// parallel variant runs the serial per-row merge body over disjoint
-    /// row ranges, so every mode returns the identical triplet list.
-    ///
-    /// (Earlier revisions ignored the mode here and always ran serially —
-    /// a silent downgrade for `Parallel`/`Auto` callers.)
+    /// 1-level), serial or row-parallel per the executor's plan — under
+    /// `Auto` the planner's threshold tier weighs the two operands'
+    /// stored values. The parallel variant runs the serial per-row merge
+    /// body over disjoint row ranges, so every mode returns the identical
+    /// triplet list.
     ///
     /// # Panics
     ///
@@ -699,7 +681,14 @@ impl Executor {
     /// matching block sizes, or dimensions disagree.
     pub fn spmm_smash<T: Scalar>(&self, a: &SmashMatrix<T>, b: &SmashMatrix<T>) -> Coo<T> {
         assert_eq!(a.config().layout(), Layout::RowMajor, "A must be row-major");
-        if self.parallelize(a.rows(), a.nza().len() + b.nza().len()) {
+        let plan = self.make_plan(
+            Op::Spgemm,
+            Format::Smash,
+            1,
+            || MatrixProfile::of_smash(a),
+            || Some((a.nza().len() + b.nza().len()) as u64),
+        );
+        if plan.choice.parallel() {
             crate::spgemm::par_spmm_smash(self.pool(), a, b)
         } else {
             native::spmm_smash(a, b)
@@ -707,58 +696,30 @@ impl Executor {
     }
 
     /// Compresses a CSR matrix into the SMASH encoding, in parallel when
-    /// the executor's mode and the matrix size call for it. The produced
-    /// matrix is `==` to `SmashMatrix::encode(a, config)` either way.
+    /// the executor's plan calls for it: [`Executor::try_encode`],
+    /// panicking on its error. The produced matrix is `==` to
+    /// `SmashMatrix::encode(a, config)` either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`SmashError`] message of [`Executor::try_encode`].
+    #[track_caller]
     pub fn encode<T: Scalar>(&self, a: &Csr<T>, config: SmashConfig) -> SmashMatrix<T> {
-        if self.planned_wide(
-            Op::Encode,
-            Format::Csr,
-            || MatrixProfile::of_csr(a),
-            1,
-            None,
-        ) {
-            par_csr_to_smash(self.pool(), a, config)
-        } else {
-            SmashMatrix::encode(a, config)
-        }
+        or_panic(self.try_encode(a, config)).0
     }
 
     /// Merges a dynamic matrix's overlay into its base tier
-    /// ([`DynamicMatrix::compact`]), re-encoding a SMASH base through the
-    /// executor's serial/parallel encoder dispatch. The compacted base is
-    /// `==` to building it from scratch from the merged matrix, whichever
-    /// path runs.
+    /// ([`DynamicMatrix::compact`]), re-encoding a SMASH base through
+    /// [`Executor::encode`]. The compacted base is `==` to building it
+    /// from scratch from the merged matrix, whichever path runs.
     pub fn compact<T: Scalar>(&self, m: &mut DynamicMatrix<T>) {
-        m.compact_with(|merged, config| {
-            if self.planned_wide(
-                Op::Encode,
-                Format::Csr,
-                || MatrixProfile::of_csr(merged),
-                1,
-                None,
-            ) {
-                par_csr_to_smash(self.pool(), merged, config)
-            } else {
-                SmashMatrix::encode(merged, config)
-            }
-        });
+        m.compact_with(|merged, config| self.encode(merged, config));
     }
 
     // ------------------------------------------------------------------
-    // The fallible tier: validated operands, typed errors, graceful
-    // degradation. The documented front door for untrusted input — the
-    // panicking methods above stay the zero-overhead contract for
-    // trusted callers.
+    // The single bodies: validated operands, typed errors, graceful
+    // degradation. The panicking calls above unwrap these.
     // ------------------------------------------------------------------
-
-    /// Whether this plan dispatches onto the pool under the current mode.
-    fn wide_for(&self, plan: &Plan) -> bool {
-        match self.mode {
-            ExecMode::Serial => false,
-            ExecMode::Parallel => self.pool.is_some(),
-            ExecMode::Auto => self.pool.is_some() && plan.choice.parallel(),
-        }
-    }
 
     /// Starts a report on `plan`, recording up front the construction
     /// rung of the ladder (a pool that failed to spawn) if it applies.
@@ -770,6 +731,34 @@ impl Executor {
             });
         }
         report
+    }
+
+    /// Runs one op down the degradation ladder: `wide` on the pool when
+    /// the plan says so — a panic there is reported and the call retried
+    /// through `serial` — otherwise `serial` directly. A panic in `serial`
+    /// becomes [`SmashError::Panicked`]. `out` is the output both write;
+    /// the serial kernels write all of it, so a retry after a partial
+    /// parallel write is bit-identical to a clean serial run.
+    fn ladder<O: ?Sized, R>(
+        &self,
+        op: &'static str,
+        report: &mut ExecReport,
+        out: &mut O,
+        wide: impl FnOnce(&ThreadPool, &mut O) -> R,
+        serial: impl FnOnce(&mut O) -> R,
+    ) -> Result<R, SmashError> {
+        if report.plan.choice.parallel() {
+            match catch_unwind(AssertUnwindSafe(|| wide(self.pool(), &mut *out))) {
+                Ok(r) => return Ok(r),
+                Err(payload) => report.note(Degradation::WorkerPanic {
+                    detail: panic_detail(payload.as_ref()),
+                }),
+            }
+        }
+        catch_unwind(AssertUnwindSafe(|| serial(out))).map_err(|payload| SmashError::Panicked {
+            op,
+            detail: panic_detail(payload.as_ref()),
+        })
     }
 
     /// The [`NonFinitePolicy::Reject`] scan over a matrix operand —
@@ -813,12 +802,13 @@ impl Executor {
         }
     }
 
-    /// Fallible [`Executor::spmv`]: validates the operands up front
-    /// (dimensions, cached structural [`validate`](Csr::validate), the
+    /// Sparse matrix-vector product `y = A * x`, the one body behind
+    /// [`Executor::spmv`]: validates the operands up front (dimensions,
+    /// cached structural [`validate`](Csr::validate), the
     /// [`NonFinitePolicy`]) and descends the degradation ladder instead
     /// of panicking — a parallel kernel panic is caught, reported, and
-    /// retried serially (the output is zeroed first, so the retry is
-    /// bit-identical to a clean serial run).
+    /// retried serially (the serial driver overwrites every output
+    /// element, so the retry is bit-identical to a clean serial run).
     ///
     /// # Errors
     ///
@@ -851,36 +841,22 @@ impl Executor {
         a.check(OP)?;
         self.check_operand_finite(OP, &a)?;
         self.check_finite(OP, "x", x)?;
-        let plan = self.make_plan(a.op_spmv(), a.format(), &a.profile(), 1, None);
+        let plan = self.make_plan(a.op_spmv(), a.format(), 1, || a.profile(), || None);
         let mut report = self.start_report(plan);
         let r = a.row_read();
-        if self.wide_for(&report.plan) {
-            let wide = catch_unwind(AssertUnwindSafe(|| par_spmv_rows(self.pool(), r, x, y)));
-            match wide {
-                Ok(()) => return Ok(report),
-                Err(payload) => {
-                    report.note(Degradation::WorkerPanic {
-                        detail: panic_detail(payload.as_ref()),
-                    });
-                    // A panicked parallel run may have written part of the
-                    // output; reset so the serial retry starts clean.
-                    y.fill(T::ZERO);
-                }
-            }
-        }
-        let serial = catch_unwind(AssertUnwindSafe(|| spmv_rows(r, x, y)));
-        match serial {
-            Ok(()) => Ok(report),
-            Err(payload) => Err(SmashError::Panicked {
-                op: OP,
-                detail: panic_detail(payload.as_ref()),
-            }),
-        }
+        self.ladder(
+            OP,
+            &mut report,
+            y,
+            |pool, y| par_spmv_rows(pool, r, x, y),
+            |y| spmv_rows(r, x, y),
+        )?;
+        Ok(report)
     }
 
-    /// Fallible [`Executor::spmm_dense`]: the batched sparse × dense
-    /// product with validated operands and the same degradation ladder as
-    /// [`Executor::try_spmv`].
+    /// Batched sparse × dense product `C = A * B`, the one body behind
+    /// [`Executor::spmm_dense`]: validated operands and the same
+    /// degradation ladder as [`Executor::try_spmv`].
     ///
     /// # Errors
     ///
@@ -911,38 +887,33 @@ impl Executor {
         a.check(OP)?;
         self.check_operand_finite(OP, &a)?;
         self.check_finite(OP, "B", b.as_slice())?;
-        let plan = self.make_plan(a.op_spmm_dense(), a.format(), &a.profile(), b.cols(), None);
+        let plan = self.make_plan(
+            a.op_spmm_dense(),
+            a.format(),
+            b.cols(),
+            || a.profile(),
+            || None,
+        );
         let mut report = self.start_report(plan);
         let r = a.row_read();
-        if self.wide_for(&report.plan) {
-            let wide = catch_unwind(AssertUnwindSafe(|| {
-                par_spmm_dense_rows(self.pool(), r, b, c)
-            }));
-            match wide {
-                Ok(()) => return Ok(report),
-                Err(payload) => {
-                    report.note(Degradation::WorkerPanic {
-                        detail: panic_detail(payload.as_ref()),
-                    });
-                    c.as_mut_slice().fill(T::ZERO);
-                }
-            }
-        }
-        let serial = catch_unwind(AssertUnwindSafe(|| spmm_dense_rows(r, b, c)));
-        match serial {
-            Ok(()) => Ok(report),
-            Err(payload) => Err(SmashError::Panicked {
-                op: OP,
-                detail: panic_detail(payload.as_ref()),
-            }),
-        }
+        self.ladder(
+            OP,
+            &mut report,
+            c,
+            |pool, c| par_spmm_dense_rows(pool, r, b, c),
+            |c| spmm_dense_rows(r, b, c),
+        )?;
+        Ok(report)
     }
 
-    /// Fallible [`Executor::spgemm`], the resource-governed one: operands
-    /// are validated up front, and when a [`MemoryBudget`] is set the
-    /// product's transient engine memory is estimated from the symbolic
-    /// bounds **before any allocation** — an over-budget product either
-    /// fails with [`SmashError::ResourceExhausted`] or (for a
+    /// Sparse × sparse multiply, the one body behind
+    /// [`Executor::spgemm`] — and the resource-governed one: operands are
+    /// validated up front, and the symbolic pass runs once; its per-row
+    /// bounds size the serial, parallel or chunked engine that follows.
+    /// When a [`MemoryBudget`] is set the product's transient engine
+    /// memory is estimated from those bounds **before any numeric
+    /// allocation** — an over-budget product either fails with
+    /// [`SmashError::ResourceExhausted`] or (for a
     /// [`MemoryBudget::degrade_over`] budget) runs as a serial
     /// row-chunked streaming execution with bounded peak scratch,
     /// bit-identical to the unchunked engine. Parallel kernel panics
@@ -975,9 +946,9 @@ impl Executor {
         let plan = self.make_plan(
             Op::Spgemm,
             Format::Csr,
-            &MatrixProfile::of_csr(a),
             1,
-            Some(work),
+            || MatrixProfile::of_csr(a),
+            || Some(work),
         );
         let mut report = self.start_report(plan);
         if let Some(budget) = self.budget {
@@ -998,28 +969,20 @@ impl Executor {
                 return Ok((c, report));
             }
         }
-        if self.wide_for(&report.plan) {
-            match catch_unwind(AssertUnwindSafe(|| {
-                crate::spgemm::par_spgemm(self.pool(), a, b)
-            })) {
-                Ok(c) => return Ok((c, report)),
-                Err(payload) => report.note(Degradation::WorkerPanic {
-                    detail: panic_detail(payload.as_ref()),
-                }),
-            }
-        }
-        match catch_unwind(AssertUnwindSafe(|| crate::spgemm::spgemm(a, b))) {
-            Ok(c) => Ok((c, report)),
-            Err(payload) => Err(SmashError::Panicked {
-                op: OP,
-                detail: panic_detail(payload.as_ref()),
-            }),
-        }
+        let c = self.ladder(
+            OP,
+            &mut report,
+            &mut (),
+            |pool, _| crate::spgemm::par_spgemm_bounded(pool, a, b, &bounds),
+            |_| crate::spgemm::spgemm_bounded(a, b, &bounds),
+        )?;
+        Ok((c, report))
     }
 
-    /// Fallible [`Executor::encode`]: validates the CSR operand (cached
-    /// structural check plus the [`NonFinitePolicy`] scan) and descends
-    /// the degradation ladder — a panicking parallel encoder is caught,
+    /// CSR → SMASH compression, the one body behind
+    /// [`Executor::encode`]: validates the CSR operand (cached structural
+    /// check plus the [`NonFinitePolicy`] scan) and descends the
+    /// degradation ladder — a panicking parallel encoder is caught,
     /// reported, and retried serially; the result is `==` either way.
     ///
     /// # Errors
@@ -1034,31 +997,38 @@ impl Executor {
         const OP: &str = "encode";
         SpmvOperand::Csr(a).check(OP)?;
         self.check_finite(OP, "A", a.values())?;
-        let plan = self.make_plan(Op::Encode, Format::Csr, &MatrixProfile::of_csr(a), 1, None);
+        let plan = self.make_plan(
+            Op::Encode,
+            Format::Csr,
+            1,
+            || MatrixProfile::of_csr(a),
+            || None,
+        );
         let mut report = self.start_report(plan);
-        if self.wide_for(&report.plan) {
-            match catch_unwind(AssertUnwindSafe(|| {
-                par_csr_to_smash(self.pool(), a, config.clone())
-            })) {
-                Ok(sm) => return Ok((sm, report)),
-                Err(payload) => report.note(Degradation::WorkerPanic {
-                    detail: panic_detail(payload.as_ref()),
-                }),
-            }
-        }
-        match catch_unwind(AssertUnwindSafe(|| SmashMatrix::encode(a, config))) {
-            Ok(sm) => Ok((sm, report)),
-            Err(payload) => Err(SmashError::Panicked {
-                op: OP,
-                detail: panic_detail(payload.as_ref()),
-            }),
-        }
+        let sm = self.ladder(
+            OP,
+            &mut report,
+            &mut (),
+            |pool, _| par_csr_to_smash(pool, a, config.clone()),
+            |_| SmashMatrix::encode(a, config.clone()),
+        )?;
+        Ok((sm, report))
     }
 
     fn pool(&self) -> &ThreadPool {
         self.pool
             .as_ref()
             .expect("parallel dispatch implies a pool")
+    }
+}
+
+/// Unwraps a `try_*` result for its panicking twin: the typed error's
+/// message becomes the panic message.
+#[track_caller]
+fn or_panic<R>(result: Result<R, SmashError>) -> R {
+    match result {
+        Ok(r) => r,
+        Err(e) => panic!("{e}"),
     }
 }
 
@@ -1073,6 +1043,7 @@ impl Default for Executor {
 mod tests {
     use super::*;
     use crate::common::test_vector;
+    use crate::error::panic_detail;
     use smash_matrix::{generators, Bcsr};
 
     fn modes() -> Vec<(&'static str, Executor)> {
@@ -1096,15 +1067,15 @@ mod tests {
 
         for (fmt, serial_y) in [
             ("csr", {
-                native::spmv_csr(&a, &x, &mut want);
+                spmv_rows(&a, &x, &mut want);
                 want.clone()
             }),
             ("bcsr", {
-                native::spmv_bcsr(&bcsr, &x, &mut want);
+                spmv_rows(&bcsr, &x, &mut want);
                 want.clone()
             }),
             ("smash", {
-                native::spmv_smash(&sm, &x, &mut want);
+                spmv_rows(&sm, &x, &mut want);
                 want.clone()
             }),
         ] {
@@ -1120,16 +1091,121 @@ mod tests {
         }
     }
 
+    /// A `rows x cols` matrix with every entry stored.
+    fn full(rows: usize, cols: usize) -> Csr<f64> {
+        let mut coo = Coo::new(rows, cols);
+        for i in 0..rows {
+            for j in 0..cols {
+                coo.push(i, j, 1.0 + (i + j) as f64);
+            }
+        }
+        Csr::from_coo(&coo)
+    }
+
     #[test]
     fn auto_stays_serial_below_the_thresholds() {
-        let exec = Executor::auto();
+        // The threshold tier alone: no calibration row can match.
+        let exec = Executor::auto_with(Planner::empty());
         // Tiny matrix: never worth dispatching.
-        assert!(!exec.parallelize(8, 64));
-        // Heavy but short: row ranges would be degenerate.
-        assert!(!exec.parallelize(2, 1_000_000));
-        if exec.threads() > 1 {
-            assert!(exec.parallelize(4 * exec.threads(), AUTO_PARALLEL_NNZ));
+        assert!(!exec.plan_spmv(&full(8, 8)).choice.parallel());
+        // Heavy but short (2 rows, ~1M work units): row ranges would be
+        // degenerate.
+        let short = full(2, 64);
+        assert!(!exec
+            .plan_spmm_dense(&short, 1_000_000 / 128)
+            .choice
+            .parallel());
+        let t = exec.threads();
+        if t > 1 {
+            let a = full(4 * t, 64);
+            let rhs = AUTO_PARALLEL_NNZ.div_ceil(a.nnz());
+            assert!(exec.plan_spmm_dense(&a, rhs).choice.parallel());
         }
+    }
+
+    #[test]
+    fn fixed_modes_report_the_plan_they_run() {
+        // The 64x64, 300-nnz probe: too small for any planner to go wide,
+        // yet a fixed Parallel executor runs it on its pool.
+        let a = generators::uniform(64, 64, 300, 1);
+        let x = test_vector::<f64>(64);
+        let mut y = vec![0.0; 64];
+        for (exec, threads, mode) in [
+            (Executor::with_threads(2), 2, "Parallel"),
+            (Executor::serial(), 1, "Serial"),
+        ] {
+            let report = exec.try_spmv(&a, &x, &mut y).unwrap();
+            assert_eq!(
+                report.plan.choice.threads, threads,
+                "{}",
+                report.plan.rationale
+            );
+            assert!(
+                report.plan.rationale.contains(mode),
+                "{}",
+                report.plan.rationale
+            );
+            assert_eq!(exec.plan_spmv(&a).choice, report.plan.choice);
+            // Pinned plans carry the lead tile of the batch width.
+            assert_eq!(exec.plan_spmm_dense(&a, 8).choice.tile, 8);
+            assert_eq!(exec.plan_spmm_dense(&a, 5).choice.tile, 4);
+        }
+    }
+
+    #[test]
+    fn infallible_calls_unwrap_their_try_twin() {
+        let a = generators::clustered(128, 128, 4_000, 5, 3);
+        let sm = SmashMatrix::encode(&a, SmashConfig::row_major(&[2, 4]).unwrap());
+        let x = test_vector::<f64>(128);
+        let b = test_batch(128, 6);
+        let cfg = SmashConfig::row_major(&[2, 4]).unwrap();
+        for (mode, exec) in modes() {
+            for op in [SpmvOperand::Csr(&a), SpmvOperand::Smash(&sm)] {
+                let (mut y, mut y_try) = (vec![f64::NAN; 128], vec![f64::NAN; 128]);
+                exec.spmv(op, &x, &mut y);
+                exec.try_spmv(op, &x, &mut y_try).unwrap();
+                assert_eq!(y, y_try, "spmv via {mode}");
+                let (mut c, mut c_try) = (Dense::zeros(128, 6), Dense::zeros(128, 6));
+                exec.spmm_dense(op, &b, &mut c);
+                exec.try_spmm_dense(op, &b, &mut c_try).unwrap();
+                assert_eq!(c, c_try, "spmm_dense via {mode}");
+            }
+            assert_eq!(exec.spgemm(&a, &a), exec.try_spgemm(&a, &a).unwrap().0);
+            assert_eq!(
+                exec.encode(&a, cfg.clone()),
+                exec.try_encode(&a, cfg.clone()).unwrap().0
+            );
+        }
+        // The panic carries the typed error's message.
+        let message = |f: &dyn Fn()| {
+            let payload = catch_unwind(AssertUnwindSafe(f)).unwrap_err();
+            panic_detail(payload.as_ref())
+        };
+        let exec = Executor::serial();
+        let msg = message(&|| exec.spmv(&a, &x[..5], &mut vec![0.0; 128]));
+        assert!(msg.starts_with("spmv: dimension mismatch"), "{msg}");
+        let msg = message(&|| exec.spmm_dense(&a, &b, &mut Dense::zeros(128, 5)));
+        assert!(msg.starts_with("spmm_dense: dimension mismatch"), "{msg}");
+        let msg = message(&|| {
+            exec.spgemm(&a, &generators::uniform(7, 7, 10, 2));
+        });
+        assert!(msg.starts_with("spgemm: dimension mismatch"), "{msg}");
+        let bad = Csr::<f64>::from_parts_unchecked(2, 2, vec![0, 5, 5], vec![0], vec![1.0]);
+        let msg = message(&|| {
+            exec.encode(&bad, cfg.clone());
+        });
+        assert!(msg.starts_with("invalid csr structure"), "{msg}");
+    }
+
+    #[test]
+    #[should_panic(expected = "spmv: operand A holds a NaN or infinity")]
+    fn reject_policy_applies_to_infallible_calls() {
+        let mut coo = Coo::<f64>::new(2, 2);
+        coo.push(0, 0, f64::NAN);
+        let a = Csr::from_coo(&coo);
+        Executor::serial()
+            .with_non_finite_policy(NonFinitePolicy::Reject)
+            .spmv(&a, &[1.0, 1.0], &mut [0.0; 2]);
     }
 
     #[test]
@@ -1189,15 +1265,15 @@ mod tests {
         let mut got = Dense::zeros(256, 8);
         for (fmt, serial_c) in [
             ("csr", {
-                native::spmm_dense_csr(&a, &b, &mut want);
+                spmm_dense_rows(&a, &b, &mut want);
                 want.clone()
             }),
             ("bcsr", {
-                native::spmm_dense_bcsr(&bcsr, &b, &mut want);
+                spmm_dense_rows(&bcsr, &b, &mut want);
                 want.clone()
             }),
             ("smash", {
-                native::spmm_dense_smash(&sm, &b, &mut want);
+                spmm_dense_rows(&sm, &b, &mut want);
                 want.clone()
             }),
         ] {
@@ -1229,16 +1305,20 @@ mod tests {
 
     #[test]
     fn auto_weighs_batched_work_by_rhs_count() {
-        let exec = Executor::auto();
-        if exec.threads() <= 1 {
+        let exec = Executor::auto_with(Planner::empty());
+        let t = exec.threads();
+        if t <= 1 {
             return; // single-core host: Auto never parallelizes
         }
-        let rows = 4 * exec.threads();
+        let a = full(4 * t, 64);
         // One vector of work below the threshold...
-        assert!(!exec.parallelize(rows, AUTO_PARALLEL_NNZ / 8));
-        // ...crosses it once 8 right-hand sides are batched (the executor
-        // multiplies stored work by the batch width).
-        assert!(exec.parallelize(rows, (AUTO_PARALLEL_NNZ / 8) * 8));
+        assert!(a.nnz() < AUTO_PARALLEL_NNZ);
+        assert!(!exec.plan_spmv(&a).choice.parallel());
+        // ...crosses it once enough right-hand sides are batched (the
+        // planner multiplies stored work by the batch width).
+        let rhs = AUTO_PARALLEL_NNZ.div_ceil(a.nnz());
+        assert!(!exec.plan_spmm_dense(&a, rhs - 1).choice.parallel());
+        assert!(exec.plan_spmm_dense(&a, rhs).choice.parallel());
     }
 
     #[test]
@@ -1320,7 +1400,7 @@ mod tests {
         let a = generators::uniform(48, 40, 900, 5);
         let b = test_batch(40, 6);
         let mut want = Dense::zeros(48, 6);
-        native::spmm_dense_csr(&a, &b, &mut want);
+        spmm_dense_rows(&a, &b, &mut want);
         for (mode, exec) in modes() {
             let mut c = Dense::zeros(48, 6);
             exec.try_spmm_dense(&a, &b, &mut c).unwrap();

@@ -5,13 +5,15 @@
 
 use crate::common::{test_vector, Mechanism};
 use crate::executor::Executor;
-use crate::{native, spmdm, spmm, spmv};
+use crate::{spmdm, spmm, spmv};
 use smash_bmu::Bmu;
 use smash_core::{SmashConfig, SmashMatrix};
 use smash_matrix::{Bcsr, Coo, Csr, Dense, Scalar};
 use smash_sim::{CountEngine, Engine, SimEngine, SimStats, SystemConfig};
 
-/// Block shape of the TACO-BCSR baseline (see DESIGN.md).
+/// Block shape (rows = columns) of the TACO-BCSR baseline: every BCSR
+/// operand the harness, the native comparisons and the experiments build
+/// uses 2×2 blocks.
 pub const BCSR_BLOCK: usize = 2;
 
 /// Runs the *native* (wall-clock, uninstrumented) SpMV of `mech` through
@@ -19,11 +21,12 @@ pub const BCSR_BLOCK: usize = 2;
 /// (CSR, 2x2 BCSR, or the SMASH compressed form per `cfg`) and the
 /// executor picks the serial or parallel kernel. `IdealCsr` has no native
 /// counterpart (free position discovery is a simulation idealization), so
-/// it maps to the most-tuned software CSR, `spmv_csr_opt`.
+/// it runs the same CSR call as `TacoCsr`.
 ///
 /// # Panics
 ///
-/// Panics if `x.len() != a.cols()` or `y.len() != a.rows()`.
+/// Panics with the executor's typed error message if `x.len() !=
+/// a.cols()` or `y.len() != a.rows()`.
 pub fn native_spmv<T: Scalar>(
     exec: &Executor,
     mech: Mechanism,
@@ -33,8 +36,7 @@ pub fn native_spmv<T: Scalar>(
     y: &mut [T],
 ) {
     match mech {
-        Mechanism::TacoCsr => exec.spmv(a, x, y),
-        Mechanism::IdealCsr => native::spmv_csr_opt(a, x, y),
+        Mechanism::TacoCsr | Mechanism::IdealCsr => exec.spmv(a, x, y),
         Mechanism::TacoBcsr => {
             let b = Bcsr::from_csr(a, BCSR_BLOCK, BCSR_BLOCK).expect("non-zero block");
             exec.spmv(&b, x, y);

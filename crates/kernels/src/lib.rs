@@ -12,10 +12,6 @@
 //!   the host (the paper's real-system Fig. 9 experiment and the Criterion
 //!   benches).
 //!
-//! The [`parallel`] module adds multi-threaded variants of the native hot
-//! paths (via `smash-parallel`) that stay bit-identical to the serial
-//! kernels at every thread count.
-//!
 //! The [`spgemm`] module is the native sparse × sparse engine: row-wise
 //! Gustavson multiplication with symbolic sizing, per-row dense/hash
 //! accumulators and direct CSR or SMASH emission — triplet-exact to the
@@ -24,10 +20,12 @@
 //! The [`harness`] module dispatches by [`Mechanism`], building the right
 //! operand encodings (CSR, 2x2 BCSR, SMASH bitmaps + NZA) internally.
 //!
-//! The [`executor`] module is the native-side counterpart: one
-//! [`Executor`] entry point over *format × precision × serial/parallel*,
-//! so callers stop hand-picking among the per-format kernel functions.
-//! Its `Auto` mode delegates to the [`planner`] module — a measured
+//! The [`executor`] module is the native-side counterpart and the one
+//! public entry surface of the native kernels: one [`Executor`] over
+//! *format × precision × serial/parallel*, running every format's
+//! [`RowRead`](smash_matrix::RowRead) view through one serial and one
+//! parallel driver (the latter from `smash-parallel`, bit-identical to
+//! the serial one at every thread count). Its `Auto` mode delegates to the [`planner`] module — a measured
 //! cost model scoring *(format × kernel × threads × tile)* candidates
 //! against a checked-in calibration table, with the old shape/nnz
 //! thresholds as its fallback tier. All kernels are generic over
@@ -63,7 +61,6 @@ pub mod executor;
 pub mod harness;
 pub mod native;
 pub mod operand;
-pub mod parallel;
 pub mod planner;
 pub mod spadd;
 pub mod spgemm;

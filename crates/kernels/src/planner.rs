@@ -60,6 +60,7 @@
 
 use crate::executor::{AUTO_MIN_ROWS_PER_THREAD, AUTO_PARALLEL_NNZ};
 use smash_matrix::{locality, Bcsr, Csr, Scalar};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -570,16 +571,39 @@ pub struct Plan {
     pub choice: Choice,
     /// Predicted nanoseconds of the winner (`f64::NAN` when the
     /// threshold tier decided — it predicts nothing, it compares
-    /// against a constant).
+    /// against a constant — or a fixed executor mode pinned the plan).
     pub score: f64,
-    /// Every scored candidate, best first (empty in the fallback tier).
+    /// Every scored candidate, best first (empty in the fallback tier
+    /// and in pinned plans).
     pub alternatives: Vec<(Choice, f64)>,
-    /// `true` when a calibration row decided; `false` when the legacy
-    /// threshold tier did.
+    /// `true` when a calibration row decided; `false` when the
+    /// threshold tier did or the plan was pinned.
     pub calibrated: bool,
     /// Multi-line explanation: the profile, the matched zoo matrix (or
-    /// why the fallback fired), and the winner vs. runner-up scores.
-    pub rationale: String,
+    /// why the fallback fired), and the winner vs. runner-up scores — or,
+    /// for a pinned plan, the executor mode that fixed it.
+    pub rationale: Cow<'static, str>,
+}
+
+impl Plan {
+    /// The plan of a fixed-mode executor: the request's format and worker
+    /// count (1 = the serial kernel) and its lead tile, with no profile,
+    /// score or calibration lookup behind it. Every fixed-mode call builds
+    /// one, so its `rationale` is borrowed, not allocated (formatting one
+    /// would cost about a fifth of a small SpMV).
+    pub(crate) fn pinned(req: &PlanRequest, rationale: &'static str) -> Plan {
+        Plan {
+            choice: Choice {
+                format: req.format.unwrap_or(Format::Csr),
+                threads: req.threads.max(1),
+                tile: lead_tile(req),
+            },
+            score: f64::NAN,
+            alternatives: Vec::new(),
+            calibrated: false,
+            rationale: Cow::Borrowed(rationale),
+        }
+    }
 }
 
 /// One parsed calibration measurement: candidate × zoo matrix →
@@ -834,7 +858,7 @@ impl Planner {
                     score,
                     alternatives: scored,
                     calibrated: true,
-                    rationale,
+                    rationale: rationale.into(),
                 };
             }
         }
@@ -842,7 +866,9 @@ impl Planner {
         self.fallback(profile, req, lead_tile, matched)
     }
 
-    /// The legacy threshold tier: exactly the pre-planner `Auto` rule.
+    /// The threshold tier, the only threshold rule of the dispatch stack:
+    /// go wide when the work reaches [`AUTO_PARALLEL_NNZ`] and every
+    /// worker gets at least [`AUTO_MIN_ROWS_PER_THREAD`] rows.
     fn fallback(
         &self,
         profile: &MatrixProfile,
@@ -878,7 +904,10 @@ impl Planner {
                 None => "calibration table has no matrices".to_string(),
             }
         } else {
-            format!("no calibration rows for op {}", req.op)
+            match req.format {
+                Some(f) => format!("no calibration rows for op {} on {f}", req.op),
+                None => format!("no calibration rows for op {}", req.op),
+            }
         };
         let rule = if wide {
             format!(
@@ -908,7 +937,8 @@ impl Planner {
                 req.op,
                 profile.summary(),
                 self.simd_note()
-            ),
+            )
+            .into(),
         }
     }
 }

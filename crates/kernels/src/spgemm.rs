@@ -362,11 +362,15 @@ fn assemble<T: Scalar>(rows: usize, cols: usize, chunks: Vec<RowChunk<T>>) -> Cs
 ///
 /// Panics if `a.cols() != b.rows()`.
 pub fn spgemm<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Csr<T> {
-    let (bounds, _) = symbolic_bounds(a, b);
+    spgemm_bounded(a, b, &symbolic_bounds(a, b).0)
+}
+
+/// [`spgemm`] over symbolic `bounds` the caller already holds.
+pub(crate) fn spgemm_bounded<T: Scalar>(a: &Csr<T>, b: &Csr<T>, bounds: &[u64]) -> Csr<T> {
     assemble(
         a.rows(),
         b.cols(),
-        vec![spgemm_chunk(a, b, 0..a.rows(), &bounds)],
+        vec![spgemm_chunk(a, b, 0..a.rows(), bounds)],
     )
 }
 
@@ -379,13 +383,21 @@ pub fn spgemm<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Csr<T> {
 ///
 /// Panics if `a.cols() != b.rows()`.
 pub fn par_spgemm<T: Scalar>(pool: &ThreadPool, a: &Csr<T>, b: &Csr<T>) -> Csr<T> {
-    let (bounds, _) = symbolic_bounds(a, b);
+    par_spgemm_bounded(pool, a, b, &symbolic_bounds(a, b).0)
+}
+
+/// [`par_spgemm`] over symbolic `bounds` the caller already holds.
+pub(crate) fn par_spgemm_bounded<T: Scalar>(
+    pool: &ThreadPool,
+    a: &Csr<T>,
+    b: &Csr<T>,
+    bounds: &[u64],
+) -> Csr<T> {
     let ranges = partition_by_weight(a.rows(), pool.threads(), |i| bounds[i]);
     let mut chunks: Vec<RowChunk<T>> = Vec::new();
     chunks.resize_with(ranges.len(), RowChunk::default);
     pool.scoped(|s| {
         for (range, slot) in ranges.iter().cloned().zip(chunks.iter_mut()) {
-            let bounds = &bounds;
             s.execute(move || *slot = spgemm_chunk(a, b, range, bounds));
         }
     });
@@ -427,11 +439,20 @@ fn spgemm_smash_part<T: Scalar>(
 ///
 /// Panics if `a.cols() != b.rows()` or `config` is not row-major.
 pub fn spgemm_smash<T: Scalar>(a: &Csr<T>, b: &Csr<T>, config: SmashConfig) -> SmashMatrix<T> {
+    spgemm_smash_bounded(a, b, &symbolic_bounds(a, b).0, config)
+}
+
+/// [`spgemm_smash`] over symbolic `bounds` the caller already holds.
+pub(crate) fn spgemm_smash_bounded<T: Scalar>(
+    a: &Csr<T>,
+    b: &Csr<T>,
+    bounds: &[u64],
+    config: SmashConfig,
+) -> SmashMatrix<T> {
     assert_eq!(config.layout(), Layout::RowMajor, "emission is row-major");
-    let (bounds, _) = symbolic_bounds(a, b);
     let b0 = config.block_size();
     let bpl = b.cols().div_ceil(b0);
-    let part = spgemm_smash_part(a, b, 0..a.rows(), &bounds, b0, bpl);
+    let part = spgemm_smash_part(a, b, 0..a.rows(), bounds, b0, bpl);
     SmashMatrix::from_bit_blocks(a.rows(), b.cols(), config, &[part])
         .expect("Gustavson emission preserves the encoder's invariants")
 }
@@ -449,15 +470,24 @@ pub fn par_spgemm_smash<T: Scalar>(
     b: &Csr<T>,
     config: SmashConfig,
 ) -> SmashMatrix<T> {
+    par_spgemm_smash_bounded(pool, a, b, &symbolic_bounds(a, b).0, config)
+}
+
+/// [`par_spgemm_smash`] over symbolic `bounds` the caller already holds.
+pub(crate) fn par_spgemm_smash_bounded<T: Scalar>(
+    pool: &ThreadPool,
+    a: &Csr<T>,
+    b: &Csr<T>,
+    bounds: &[u64],
+    config: SmashConfig,
+) -> SmashMatrix<T> {
     assert_eq!(config.layout(), Layout::RowMajor, "emission is row-major");
-    let (bounds, _) = symbolic_bounds(a, b);
     let b0 = config.block_size();
     let bpl = b.cols().div_ceil(b0);
     let ranges = partition_by_weight(a.rows(), pool.threads(), |i| bounds[i]);
     let mut parts: Vec<(Vec<usize>, Vec<T>)> = vec![Default::default(); ranges.len()];
     pool.scoped(|s| {
         for (range, slot) in ranges.iter().cloned().zip(parts.iter_mut()) {
-            let bounds = &bounds;
             s.execute(move || *slot = spgemm_smash_part(a, b, range, bounds, b0, bpl));
         }
     });

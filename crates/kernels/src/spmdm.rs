@@ -2,9 +2,10 @@
 //! (`C = A * B`, `B` a dense batch of right-hand-side columns) for every
 //! mechanism of the paper's evaluation.
 //!
-//! These are the instrumented twins of the native `spmm_dense_*` kernels:
+//! These are the instrumented twins of the native batched kernel
+//! (`smash_matrix::spmm_dense_rows` over each format's `RowRead` view):
 //! each one *computes* the result through exactly the shared per-row /
-//! per-block bodies the natives use ([`Csr::row_spmm_dense`],
+//! per-block bodies the native driver uses ([`Csr::row_spmm_dense`],
 //! [`Bcsr::block_row_spmm_dense`], [`block_axpy_dense`]) — so the numeric
 //! output is bit-identical to the native kernels — and *describes* the
 //! column-tiled instruction stream to an [`Engine`]. Value traffic is
@@ -437,7 +438,6 @@ fn flush_row_stores<E: Engine, T: Scalar>(
 mod tests {
     use super::*;
     use crate::common::test_vector;
-    use crate::native;
     use smash_core::SmashConfig;
     use smash_matrix::generators;
     use smash_sim::{CountEngine, UopClass};
@@ -470,20 +470,20 @@ mod tests {
         let b = test_batch(56, 11);
         let mut want = Dense::zeros(48, 11);
 
-        native::spmm_dense_csr(&a, &b, &mut want);
+        smash_matrix::spmm_dense_rows(&a, &b, &mut want);
         let mut e = CountEngine::new();
         assert_eq!(spmm_dense_csr(&mut e, &a, &b), want);
         let mut e = CountEngine::new();
         assert_eq!(spmm_dense_ideal(&mut e, &a, &b), want);
 
         let bcsr = Bcsr::from_csr(&a, 2, 2).unwrap();
-        native::spmm_dense_bcsr(&bcsr, &b, &mut want);
+        smash_matrix::spmm_dense_rows(&bcsr, &b, &mut want);
         let mut e = CountEngine::new();
         assert_eq!(spmm_dense_bcsr(&mut e, &bcsr, &b), want);
 
         for ratios in [&[2u32][..], &[2, 4, 16]] {
             let sm = SmashMatrix::encode(&a, SmashConfig::row_major(ratios).unwrap());
-            native::spmm_dense_smash(&sm, &b, &mut want);
+            smash_matrix::spmm_dense_rows(&sm, &b, &mut want);
             let mut e = CountEngine::new();
             assert_eq!(spmm_dense_sw_smash(&mut e, &sm, &b), want, "{ratios:?}");
             let mut e = CountEngine::new();

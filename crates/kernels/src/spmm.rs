@@ -266,8 +266,8 @@ pub fn spmm_bcsr<E: Engine, T: Scalar>(e: &mut E, a: &Bcsr<T>, bt: &Bcsr<T>) -> 
 /// product.
 ///
 /// The merge advances the group whose current index is smaller (the paper's
-/// pseudocode advances both unconditionally, which would skip matches; we
-/// implement the correct two-cursor merge, see DESIGN.md).
+/// pseudocode advances both unconditionally, which would skip matches; this
+/// is the correct two-cursor merge).
 ///
 /// # Panics
 ///

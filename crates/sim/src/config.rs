@@ -157,7 +157,8 @@ impl SystemConfig {
     ///
     /// The paper's matrices are 10–100x the 1 MB LLC, which is what makes
     /// CSR's index traffic expensive. When experiments scale the matrices
-    /// down (DESIGN.md), shrinking the caches by the same linear factor
+    /// down (rows by a linear factor, non-zeros by its square, as
+    /// `smash_matrix::suite` does), shrinking the caches by the same factor
     /// preserves the working-set : cache ratio — the standard scaled-
     /// working-set methodology. Each level keeps at least one set per way.
     pub fn paper_table2_scaled(divisor: usize) -> Self {

@@ -7,6 +7,7 @@
 //! Run with: `cargo run --release --example live_graph`
 
 use smash::graph::{generators, pagerank_power, uniform_ranks, IncrementalPageRank};
+use smash::Executor;
 
 fn main() {
     // A road network: every vertex keeps out-edges, so rank mass never
@@ -22,7 +23,8 @@ fn main() {
 
     let tol = 1e-10;
     let mut pr = IncrementalPageRank::new(&g, 0.85, tol, 1000);
-    let cold = pr.solve();
+    let exec = Executor::auto();
+    let cold = pr.solve(&exec);
     println!(
         "cold solve: {} iterations to |Δr|₁ < {tol:e}",
         cold.iterations
@@ -45,7 +47,7 @@ fn main() {
             inserted += pr.add_edge(u, v) as usize;
         }
         let overlay_len = pr.matrix().overlay().len();
-        let warm = pr.solve();
+        let warm = pr.solve(&exec);
         println!(
             "{:<8} {:>9} {:>11} {:>13}",
             format!("#{round}"),
@@ -60,8 +62,8 @@ fn main() {
     // rebuild of the mutated graph.
     let rebuilt = pr.snapshot().transition_matrix();
     let r0 = uniform_ranks::<f64>(pr.vertices());
-    let dynamic = pagerank_power(pr.matrix(), &r0, 0.85, tol, 1000);
-    let oracle = pagerank_power(&rebuilt, &r0, 0.85, tol, 1000);
+    let dynamic = pagerank_power(&exec, pr.matrix(), &r0, 0.85, tol, 1000);
+    let oracle = pagerank_power(&exec, &rebuilt, &r0, 0.85, tol, 1000);
     assert_eq!(dynamic.ranks, oracle.ranks);
     assert_eq!(dynamic.iterations, oracle.iterations);
     println!(
@@ -72,7 +74,7 @@ fn main() {
     // Fold the overlay away; solves are unaffected.
     pr.compact();
     assert!(pr.matrix().overlay().is_empty());
-    let compacted = pagerank_power(pr.matrix(), &r0, 0.85, tol, 1000);
+    let compacted = pagerank_power(&exec, pr.matrix(), &r0, 0.85, tol, 1000);
     assert_eq!(compacted.ranks, oracle.ranks);
     println!("compacted: overlay empty, solution unchanged");
 }

@@ -25,6 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..Default::default()
     };
     let exec = Executor::auto();
+    let m = g.transition_matrix();
 
     // 16 concurrent queries, one personalization column per user.
     let seeds: Vec<usize> = (0..16).map(|i| (i * 257) % g.vertices()).collect();
@@ -39,13 +40,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Path A: the naive service loop — one full power iteration per query.
     let t = Instant::now();
     let singles: Vec<Vec<f64>> = (0..seeds.len())
-        .map(|j| personalized_pagerank(&exec, &g, &cfg, &p.col(j)))
+        .map(|j| personalized_pagerank(&exec, &m, &cfg, &p.col(j)))
         .collect();
     let loop_time = t.elapsed();
 
     // Path B: one batched pass — every iteration is a single SpMM.
     let t = Instant::now();
-    let batched = personalized_pagerank_batched(&exec, &g, &cfg, &p);
+    let batched = personalized_pagerank_batched(&exec, &m, &cfg, &p);
     let batch_time = t.elapsed();
 
     // Batching never changes an answer: every column is bit-identical to

@@ -7,9 +7,10 @@
 
 use proptest::prelude::*;
 use smash::encoding::{SmashConfig, SmashMatrix};
-use smash::kernels::native;
-use smash::matrix::{generators, Bcsr, Coo, Csr, Dense, Scalar};
-use smash::parallel::{par_spmm_dense_bcsr, par_spmm_dense_csr, par_spmm_dense_smash, ThreadPool};
+use smash::matrix::{
+    generators, spmm_dense_rows, spmv_rows, Bcsr, Coo, Csr, Dense, RowRead, Scalar,
+};
+use smash::parallel::{par_spmm_dense_rows, ThreadPool};
 use smash::Executor;
 
 /// The thread counts every bit-identity assertion runs under.
@@ -39,52 +40,30 @@ fn batch<T: Scalar>(rows: usize, cols: usize) -> Dense<T> {
     generators::dense_batch(rows, cols, 5)
 }
 
-/// Pins all three `spmm_dense_*` kernels to the per-column SpMV oracle
-/// (exact `==`) and their parallel twins to the serial output (exact `==`)
-/// at every [`THREADS`] count, across batch widths that exercise the
-/// 8-tile, 4-tile and scalar remainders.
+/// Pins the batched kernel of all three formats to the per-column SpMV
+/// oracle (exact `==`) and the parallel driver to the serial output
+/// (exact `==`) at every [`THREADS`] count, across batch widths that
+/// exercise the 8-tile, 4-tile and scalar remainders.
 fn assert_spmdm_equals_spmv_batch(a: &Csr<f64>) {
     let bcsr = Bcsr::from_csr(a, 2, 2).expect("valid 2x2 blocking");
     let sm = SmashMatrix::encode(a, SmashConfig::row_major(&[2, 4]).expect("valid config"));
+    let operands: [(&str, &dyn RowRead<f64>); 3] = [("csr", a), ("bcsr", &bcsr), ("smash", &sm)];
     for n in [1usize, 5, 8, 11] {
         let b = batch::<f64>(a.cols(), n);
         let mut c = Dense::zeros(a.rows(), n);
         let mut y = vec![0.0; a.rows()];
-
-        native::spmm_dense_csr(a, &b, &mut c);
-        for j in 0..n {
-            native::spmv_csr(a, &b.col(j), &mut y);
-            assert_eq!(c.col(j), y, "csr column {j} of {n}");
-        }
-        let want = c.clone();
-        for t in THREADS {
-            c.as_mut_slice().fill(f64::NAN);
-            par_spmm_dense_csr(&ThreadPool::new(t), a, &b, &mut c);
-            assert_eq!(c, want, "par csr, {t} threads, {n} rhs");
-        }
-
-        native::spmm_dense_bcsr(&bcsr, &b, &mut c);
-        for j in 0..n {
-            native::spmv_bcsr(&bcsr, &b.col(j), &mut y);
-            assert_eq!(c.col(j), y, "bcsr column {j} of {n}");
-        }
-        let want = c.clone();
-        for t in THREADS {
-            c.as_mut_slice().fill(f64::NAN);
-            par_spmm_dense_bcsr(&ThreadPool::new(t), &bcsr, &b, &mut c);
-            assert_eq!(c, want, "par bcsr, {t} threads, {n} rhs");
-        }
-
-        native::spmm_dense_smash(&sm, &b, &mut c);
-        for j in 0..n {
-            native::spmv_smash(&sm, &b.col(j), &mut y);
-            assert_eq!(c.col(j), y, "smash column {j} of {n}");
-        }
-        let want = c.clone();
-        for t in THREADS {
-            c.as_mut_slice().fill(f64::NAN);
-            par_spmm_dense_smash(&ThreadPool::new(t), &sm, &b, &mut c);
-            assert_eq!(c, want, "par smash, {t} threads, {n} rhs");
+        for (fmt, op) in operands {
+            spmm_dense_rows(op, &b, &mut c);
+            for j in 0..n {
+                spmv_rows(op, &b.col(j), &mut y);
+                assert_eq!(c.col(j), y, "{fmt} column {j} of {n}");
+            }
+            let want = c.clone();
+            for t in THREADS {
+                c.as_mut_slice().fill(f64::NAN);
+                par_spmm_dense_rows(&ThreadPool::new(t), op, &b, &mut c);
+                assert_eq!(c, want, "par {fmt}, {t} threads, {n} rhs");
+            }
         }
     }
 }
@@ -96,16 +75,16 @@ fn assert_f32_tracks_f64_oracle(a64: &Csr<f64>) -> Result<(), TestCaseError> {
     let b64 = batch::<f64>(a64.cols(), 8);
     let b32 = batch::<f32>(a64.cols(), 8);
     let mut want = Dense::zeros(a64.rows(), 8);
-    native::spmm_dense_csr(a64, &b64, &mut want);
+    spmm_dense_rows(a64, &b64, &mut want);
     let mut got = Dense::zeros(a64.rows(), 8);
-    native::spmm_dense_csr(&a32, &b32, &mut got);
+    spmm_dense_rows(&a32, &b32, &mut got);
     for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
         prop_assert!(g.approx_eq(f32::from_f64(*w), f32::TOLERANCE), "{g} vs {w}");
     }
     // And the f32 parallel paths stay bit-identical to f32 serial.
     for t in THREADS {
         let mut par = Dense::zeros(a64.rows(), 8);
-        par_spmm_dense_csr(&ThreadPool::new(t), &a32, &b32, &mut par);
+        par_spmm_dense_rows(&ThreadPool::new(t), &a32, &b32, &mut par);
         prop_assert_eq!(&par, &got, "f32 par csr, {} threads", t);
     }
     Ok(())
@@ -207,14 +186,15 @@ fn batched_pagerank_equals_query_loop_bitwise() {
     };
     let seeds: Vec<usize> = (0..12).map(|i| (i * 21) % 256).collect();
     let p = seed_batch::<f64>(g.vertices(), &seeds);
+    let m = g.transition_matrix();
     for exec in [
         Executor::serial(),
         Executor::auto(),
         Executor::with_threads(8),
     ] {
-        let batched = personalized_pagerank_batched(&exec, &g, &cfg, &p);
+        let batched = personalized_pagerank_batched(&exec, &m, &cfg, &p);
         for j in 0..seeds.len() {
-            let single = personalized_pagerank(&exec, &g, &cfg, &p.col(j));
+            let single = personalized_pagerank(&exec, &m, &cfg, &p.col(j));
             assert_eq!(batched.col(j), single, "query {j}");
         }
     }

@@ -282,7 +282,8 @@ fn incremental_pagerank_matches_from_scratch_bitwise() {
             .collect::<Vec<_>>(),
     );
     let mut pr = IncrementalPageRank::new(&g, 0.85, 1e-12, 500);
-    let cold_iters = pr.solve().iterations;
+    let exec = Executor::auto();
+    let cold_iters = pr.solve(&exec).iterations;
     let mut added = 0;
     for (u, v) in [(0usize, 20usize), (13, 37), (5, 28), (31, 2)] {
         added += pr.add_edge(u, v) as usize;
@@ -294,13 +295,13 @@ fn incremental_pagerank_matches_from_scratch_bitwise() {
     // starting vector.
     let rebuilt = pr.snapshot().transition_matrix();
     let r0 = uniform_ranks::<f64>(pr.vertices());
-    let dynamic = pagerank_power(pr.matrix(), &r0, 0.85, 1e-12, 500);
-    let oracle = pagerank_power(&rebuilt, &r0, 0.85, 1e-12, 500);
+    let dynamic = pagerank_power(&exec, pr.matrix(), &r0, 0.85, 1e-12, 500);
+    let oracle = pagerank_power(&exec, &rebuilt, &r0, 0.85, 1e-12, 500);
     assert_eq!(dynamic.ranks, oracle.ranks);
     assert_eq!(dynamic.iterations, oracle.iterations);
 
     // Warm start: no slower than cold, same fixed point up to tolerance.
-    let warm = pr.solve();
+    let warm = pr.solve(&exec);
     assert!(warm.iterations <= cold_iters.max(oracle.iterations));
     for (a, b) in warm.ranks.iter().zip(&oracle.ranks) {
         assert!((a - b).abs() < 2e-11, "{a} vs {b}");

@@ -9,10 +9,9 @@
 use proptest::prelude::*;
 use smash::encoding::{SmashConfig, SmashMatrix};
 use smash::kernels::native;
-use smash::matrix::{generators, Bcsr, Coo, Csr};
-use smash::parallel::{
-    par_csr_to_smash, par_spmm_csr, par_spmv_bcsr, par_spmv_csr, par_spmv_smash, ThreadPool,
-};
+use smash::matrix::{generators, spmv_rows, Bcsr, Coo, Csr};
+use smash::parallel::{par_csr_to_smash, par_spmv_rows, ThreadPool};
+use smash::Executor;
 
 /// The thread counts every equivalence assertion runs under.
 const THREADS: [usize; 4] = [1, 2, 3, 8];
@@ -23,10 +22,11 @@ fn vector(n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Asserts all parallel kernels agree exactly with the serial natives on
+/// Asserts all parallel kernels agree exactly with the serial drivers on
 /// one matrix, under every [`THREADS`] count and under a pool sized from
 /// the environment (CI re-runs this suite with `SMASH_THREADS=1` to
-/// exercise the override's serial degeneration).
+/// exercise the override's serial degeneration). The inner-product SpMM
+/// runs through a fixed `Parallel` executor of the same size.
 fn assert_all_kernels_equivalent(a: &Csr<f64>) {
     let x = vector(a.cols());
     let mut got = vec![f64::NAN; a.rows()];
@@ -38,11 +38,11 @@ fn assert_all_kernels_equivalent(a: &Csr<f64>) {
 
     // Serial references, computed once.
     let mut want_csr = vec![0.0f64; a.rows()];
-    native::spmv_csr(a, &x, &mut want_csr);
+    spmv_rows(a, &x, &mut want_csr);
     let mut want_bcsr = vec![0.0f64; a.rows()];
-    native::spmv_bcsr(&bcsr, &x, &mut want_bcsr);
+    spmv_rows(&bcsr, &x, &mut want_bcsr);
     let mut want_smash = vec![0.0f64; a.rows()];
-    native::spmv_smash(&sm, &x, &mut want_smash);
+    spmv_rows(&sm, &x, &mut want_smash);
     let want_spmm = native::spmm_csr(a, &bc);
 
     let pools = THREADS
@@ -53,16 +53,16 @@ fn assert_all_kernels_equivalent(a: &Csr<f64>) {
             "SMASH_THREADS/default".to_string(),
         )));
     for (pool, label) in pools {
-        par_spmv_csr(&pool, a, &x, &mut got);
+        par_spmv_rows(&pool, a, &x, &mut got);
         assert_eq!(got, want_csr, "spmv_csr, threads = {label}");
 
-        par_spmv_bcsr(&pool, &bcsr, &x, &mut got);
+        par_spmv_rows(&pool, &bcsr, &x, &mut got);
         assert_eq!(got, want_bcsr, "spmv_bcsr, threads = {label}");
 
-        par_spmv_smash(&pool, &sm, &x, &mut got);
+        par_spmv_rows(&pool, &sm, &x, &mut got);
         assert_eq!(got, want_smash, "spmv_smash, threads = {label}");
 
-        let got_spmm = par_spmm_csr(&pool, a, &bc);
+        let got_spmm = Executor::with_threads(pool.threads()).spmm(a, &bc);
         assert_eq!(
             got_spmm.entries(),
             want_spmm.entries(),
@@ -108,24 +108,24 @@ fn assert_f32_parallel_bit_identical(a64: &Csr<f64>) {
 
     // Serial references in f32, computed once.
     let mut want_csr = vec![0.0f32; a.rows()];
-    native::spmv_csr(&a, &x, &mut want_csr);
+    spmv_rows(&a, &x, &mut want_csr);
     let mut want_bcsr = vec![0.0f32; a.rows()];
-    native::spmv_bcsr(&bcsr, &x, &mut want_bcsr);
+    spmv_rows(&bcsr, &x, &mut want_bcsr);
     let mut want_smash = vec![0.0f32; a.rows()];
-    native::spmv_smash(&sm, &x, &mut want_smash);
+    spmv_rows(&sm, &x, &mut want_smash);
     let want_spmm = native::spmm_csr(&a, &bc);
 
     let mut got = vec![f32::NAN; a.rows()];
     for threads in [1usize, 2, 8] {
         let pool = ThreadPool::new(threads);
-        par_spmv_csr(&pool, &a, &x, &mut got);
+        par_spmv_rows(&pool, &a, &x, &mut got);
         assert_eq!(got, want_csr, "f32 spmv_csr, threads = {threads}");
-        par_spmv_bcsr(&pool, &bcsr, &x, &mut got);
+        par_spmv_rows(&pool, &bcsr, &x, &mut got);
         assert_eq!(got, want_bcsr, "f32 spmv_bcsr, threads = {threads}");
-        par_spmv_smash(&pool, &sm, &x, &mut got);
+        par_spmv_rows(&pool, &sm, &x, &mut got);
         assert_eq!(got, want_smash, "f32 spmv_smash, threads = {threads}");
         assert_eq!(
-            par_spmm_csr(&pool, &a, &bc).entries(),
+            Executor::with_threads(threads).spmm(&a, &bc).entries(),
             want_spmm.entries(),
             "f32 spmm_csr, threads = {threads}"
         );
@@ -159,14 +159,27 @@ fn f32_parallel_bit_identical_on_adversarial_shapes() {
     assert_f32_parallel_bit_identical(&generators::uniform(1, 1, 1, 7));
 }
 
+/// Fixed-iteration PageRank over `g`'s transition matrix from the
+/// uniform start, every SpMV through `exec`.
+fn pagerank<T: smash::matrix::Scalar>(
+    exec: &Executor,
+    g: &smash::graph::Graph<T>,
+    cfg: &smash::graph::PageRankConfig,
+) -> Vec<T> {
+    use smash::graph::{pagerank_power, uniform_ranks};
+    let m = g.transition_matrix();
+    let r0 = uniform_ranks(g.vertices());
+    pagerank_power(exec, &m, &r0, cfg.damping, 0.0, cfg.iterations).ranks
+}
+
 #[test]
 fn f32_graph_applications_bit_identical_across_thread_counts() {
-    use smash::graph::{generators as graph_gen, pagerank_parallel, PageRankConfig};
+    use smash::graph::{generators as graph_gen, PageRankConfig};
     let g = graph_gen::rmat(128, 768, 17).cast::<f32>();
     let cfg = PageRankConfig::default();
-    let want: Vec<f32> = pagerank_parallel(&ThreadPool::new(1), &g, &cfg);
+    let want: Vec<f32> = pagerank(&Executor::with_threads(1), &g, &cfg);
     for threads in [2usize, 8] {
-        let got = pagerank_parallel(&ThreadPool::new(threads), &g, &cfg);
+        let got = pagerank(&Executor::with_threads(threads), &g, &cfg);
         assert_eq!(got, want, "f32 pagerank, threads = {threads}");
     }
 }
@@ -222,23 +235,23 @@ fn adversarial_tall_thin_and_short_wide() {
 
 #[test]
 fn graph_applications_bit_identical_across_thread_counts() {
-    use smash::graph::{
-        betweenness_parallel, generators as graph_gen, pagerank_parallel, BcConfig, PageRankConfig,
-    };
+    use smash::graph::{betweenness_native, generators as graph_gen, BcConfig, PageRankConfig};
     let g = graph_gen::rmat(128, 768, 17);
+    let at = g.adjacency_transpose();
     let pr_cfg = PageRankConfig::default();
     let bc_cfg = BcConfig::default();
-    let pr_want = pagerank_parallel(&ThreadPool::new(1), &g, &pr_cfg);
-    let bc_want = betweenness_parallel(&ThreadPool::new(1), &g, &bc_cfg);
+    let serial = Executor::serial();
+    let pr_want = pagerank(&serial, &g, &pr_cfg);
+    let bc_want = betweenness_native(&serial, g.adjacency(), &at, &bc_cfg);
     for threads in THREADS {
-        let pool = ThreadPool::new(threads);
+        let exec = Executor::with_threads(threads);
         assert_eq!(
-            pagerank_parallel(&pool, &g, &pr_cfg),
+            pagerank(&exec, &g, &pr_cfg),
             pr_want,
             "pagerank, threads = {threads}"
         );
         assert_eq!(
-            betweenness_parallel(&pool, &g, &bc_cfg),
+            betweenness_native(&exec, g.adjacency(), &at, &bc_cfg),
             bc_want,
             "betweenness, threads = {threads}"
         );

@@ -15,13 +15,11 @@
 
 use proptest::prelude::*;
 use smash::encoding::{SmashConfig, SmashMatrix};
-use smash::kernels::native;
 use smash::matrix::simd::{self, Isa};
-use smash::matrix::{generators, Bcsr, Coo, Csr, Dense, Scalar};
-use smash::parallel::{
-    par_spmm_dense_bcsr, par_spmm_dense_csr, par_spmm_dense_smash, par_spmv_bcsr, par_spmv_csr,
-    par_spmv_smash, ThreadPool,
+use smash::matrix::{
+    generators, spmm_dense_rows, spmv_rows, Bcsr, Coo, Csr, Dense, RowRead, Scalar,
 };
+use smash::parallel::{par_spmm_dense_rows, par_spmv_rows, ThreadPool};
 use std::sync::{Mutex, OnceLock};
 
 /// Serializes every use of the process-global ISA override.
@@ -67,40 +65,26 @@ fn snapshot<T: Scalar>(a: &Csr<T>, n: usize) -> Vec<Vec<T>> {
     let b = generators::dense_batch::<T>(a.cols(), n, 5);
     let bcsr = Bcsr::from_csr(a, 2, 2).expect("2x2 blocking");
     let sm = SmashMatrix::encode(a, SmashConfig::row_major(&[2, 4]).expect("ratios"));
+    let operands: [&dyn RowRead<T>; 3] = [a, &bcsr, &sm];
     let mut out = Vec::new();
 
     let mut y = vec![T::ZERO; a.rows()];
-    native::spmv_csr(a, &x, &mut y);
-    out.push(y.clone());
-    native::spmv_csr_opt(a, &x, &mut y);
-    out.push(y.clone());
-    native::spmv_bcsr(&bcsr, &x, &mut y);
-    out.push(y.clone());
-    native::spmv_smash(&sm, &x, &mut y);
-    out.push(y.clone());
-
     let mut c = Dense::zeros(a.rows(), n);
-    native::spmm_dense_csr(a, &b, &mut c);
-    out.push(c.as_slice().to_vec());
-    native::spmm_dense_bcsr(&bcsr, &b, &mut c);
-    out.push(c.as_slice().to_vec());
-    native::spmm_dense_smash(&sm, &b, &mut c);
-    out.push(c.as_slice().to_vec());
+    for op in operands {
+        spmv_rows(op, &x, &mut y);
+        out.push(y.clone());
+        spmm_dense_rows(op, &b, &mut c);
+        out.push(c.as_slice().to_vec());
+    }
 
     for t in THREADS {
         let pool = ThreadPool::new(t);
-        par_spmv_csr(&pool, a, &x, &mut y);
-        out.push(y.clone());
-        par_spmv_bcsr(&pool, &bcsr, &x, &mut y);
-        out.push(y.clone());
-        par_spmv_smash(&pool, &sm, &x, &mut y);
-        out.push(y.clone());
-        par_spmm_dense_csr(&pool, a, &b, &mut c);
-        out.push(c.as_slice().to_vec());
-        par_spmm_dense_bcsr(&pool, &bcsr, &b, &mut c);
-        out.push(c.as_slice().to_vec());
-        par_spmm_dense_smash(&pool, &sm, &b, &mut c);
-        out.push(c.as_slice().to_vec());
+        for op in operands {
+            par_spmv_rows(&pool, op, &x, &mut y);
+            out.push(y.clone());
+            par_spmm_dense_rows(&pool, op, &b, &mut c);
+            out.push(c.as_slice().to_vec());
+        }
     }
     out
 }
