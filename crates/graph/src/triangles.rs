@@ -2,11 +2,16 @@
 //! Gustavson SpGEMM engine — the classic "A²" graph analytics that the
 //! sparse × sparse multiply of `smash-kernels` unlocks.
 //!
-//! Triangle counting via `A²∘A` (count the length-2 paths that close
-//! into an edge) is the textbook SpGEMM workload: each entry
-//! `(A²)[u][v]` counts the paths `u → w → v`, and summing those counts
-//! over the positions where `A[u][v] = 1` counts every triangle six
-//! times (3 vertices × 2 orientations) in an undirected graph.
+//! Triangle counting is the textbook masked SpGEMM workload. With `L`
+//! the strict lower triangle of the symmetric adjacency, each entry
+//! `(L·L)[u][v]` counts the paths `u → w → v` with `u > w > v`, and
+//! masking by `L` keeps only the pairs `u > v` that close into an edge —
+//! so `Σ (L·L)∘L` counts every triangle exactly once, by its vertices in
+//! descending order. The masked product never materializes the paths
+//! that miss an edge, and `L·L` performs at most a quarter of `A·A`'s
+//! flops for any vertex order (`Σₖ d⁻ₖ·d⁺ₖ ≤ Σₖ dₖ²/4`, with `d⁻ₖ`/`d⁺ₖ`
+//! the neighbours of `k` below/above it). Diagonal entries (self-loops)
+//! fall outside `L` and are ignored.
 //!
 //! # Example
 //!
@@ -53,9 +58,11 @@ pub fn undirected_adjacency<T: Scalar>(g: &Graph<T>) -> Csr<T> {
 }
 
 /// Counts the triangles of an undirected graph given its symmetric 0/1
-/// adjacency (see [`undirected_adjacency`]): computes `A²` through the
-/// executor's SpGEMM engine, then sums `(A²)[u][v]` over the stored
-/// edges — a sorted two-pointer merge per row — and divides by 6.
+/// adjacency (see [`undirected_adjacency`]): takes the strict lower
+/// triangle `L` (one `partition_point` per sorted row), computes the
+/// masked product `(L·L)∘L` through the executor's SpGEMM engine, and
+/// sums its values — each triangle exactly once (see the
+/// [module docs](self)). Diagonal entries are ignored.
 ///
 /// The SpGEMM runs serial or parallel per the executor's mode; the count
 /// is identical either way (the engine is bit-identical across modes).
@@ -65,25 +72,16 @@ pub fn undirected_adjacency<T: Scalar>(g: &Graph<T>) -> Csr<T> {
 /// Panics if `adj` is not square.
 pub fn triangle_count<T: Scalar>(exec: &Executor, adj: &Csr<T>) -> u64 {
     assert_eq!(adj.rows(), adj.cols(), "adjacency must be square");
-    let paths = exec.spgemm(adj, adj);
-    let mut total = 0.0f64;
+    let mut builder = CsrBuilder::with_capacity(adj.cols(), adj.rows(), adj.nnz() / 2);
     for u in 0..adj.rows() {
-        let (edge_cols, _) = adj.row(u);
-        let (path_cols, path_vals) = paths.row(u);
-        let (mut p, mut q) = (0usize, 0usize);
-        while p < edge_cols.len() && q < path_cols.len() {
-            match edge_cols[p].cmp(&path_cols[q]) {
-                std::cmp::Ordering::Equal => {
-                    total += path_vals[q].to_f64();
-                    p += 1;
-                    q += 1;
-                }
-                std::cmp::Ordering::Less => p += 1,
-                std::cmp::Ordering::Greater => q += 1,
-            }
-        }
+        let (cols, vals) = adj.row(u);
+        let below = cols.partition_point(|&v| (v as usize) < u);
+        builder.push_row(&cols[..below], &vals[..below]);
     }
-    (total / 6.0).round() as u64
+    let l = builder.finish();
+    let closed = exec.spgemm_masked(&l, &l, &l);
+    let total: f64 = closed.values().iter().map(|v| v.to_f64()).sum();
+    total.round() as u64
 }
 
 /// Per-vertex count of *distinct* two-hop neighbours: the row nnz of
@@ -158,13 +156,61 @@ mod tests {
         assert_eq!(two_hop_counts(&exec, &path), vec![2, 1, 2]);
     }
 
+    /// The oracle: per edge `u < v`, the common neighbours `w > v` found
+    /// by a sorted-list intersection — each triangle once.
+    fn intersection_count(adj: &Csr<f64>) -> u64 {
+        let mut total = 0;
+        for u in 0..adj.rows() {
+            let nu = adj.row(u).0;
+            for &v in nu.iter().filter(|&&v| v as usize > u) {
+                let nv = adj.row(v as usize).0;
+                total += nu
+                    .iter()
+                    .filter(|&&w| w > v && nv.binary_search(&w).is_ok())
+                    .count() as u64;
+            }
+        }
+        total
+    }
+
     #[test]
     fn triangle_count_agrees_across_modes_on_rmat() {
-        let g: Graph = crate::generators::rmat(128, 600, 9);
-        let adj = undirected_adjacency(&g);
-        let serial = triangle_count(&Executor::serial(), &adj);
-        for exec in [Executor::parallel(), Executor::with_threads(2)] {
-            assert_eq!(triangle_count(&exec, &adj), serial);
+        for seed in [9, 10, 11, 12] {
+            let g: Graph = crate::generators::rmat(128, 600, seed);
+            let adj = undirected_adjacency(&g);
+            let want = intersection_count(&adj);
+            assert!(want > 0, "seed {seed}: R-MAT input has no triangles");
+            for exec in [
+                Executor::serial(),
+                Executor::parallel(),
+                Executor::with_threads(2),
+            ] {
+                assert_eq!(triangle_count(&exec, &adj), want, "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn diagonal_entries_do_not_change_the_count() {
+        // K4 plus a pendant vertex, then the same adjacency with a
+        // self-loop on every vertex: the self-loops close no triangle.
+        let mut edges = vec![(3, 4)];
+        for u in 0..4u32 {
+            for v in u + 1..4 {
+                edges.push((u, v));
+            }
+        }
+        let adj = undirected_adjacency(&Graph::<f64>::from_edges(5, &edges));
+        let mut looped = adj.to_coo();
+        for u in 0..5 {
+            looped.push(u, u, 1.0);
+        }
+        looped.compress();
+        let looped = Csr::from_coo(&looped);
+        assert_eq!(looped.nnz(), adj.nnz() + 5);
+        for exec in [Executor::serial(), Executor::with_threads(2)] {
+            assert_eq!(triangle_count(&exec, &adj), 4);
+            assert_eq!(triangle_count(&exec, &looped), 4);
         }
     }
 }

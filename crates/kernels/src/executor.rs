@@ -11,8 +11,8 @@
 //!
 //! Each operation has **one body**, its `try_*` call: validation, the
 //! [`Plan`], the serial/parallel choice and the degradation ladder live
-//! there. The panicking calls (`spmv`, `spmm_dense`, `spgemm`, `encode`)
-//! unwrap it and panic with the typed [`SmashError`]'s message, so the two
+//! there. The panicking calls (`spmv`, `spmm_dense`, `spgemm`,
+//! `spgemm_masked`, `encode`) unwrap it and panic with the typed [`SmashError`]'s message, so the two
 //! tiers cannot drift apart.
 //!
 //! Three [`ExecMode`]s exist:
@@ -92,7 +92,8 @@ pub enum ExecMode {
 }
 
 /// A cap on the **transient engine memory** (accumulators plus per-chunk
-/// staging) an [`Executor::try_spgemm`] run may allocate. The exact-sized
+/// staging) an [`Executor::try_spgemm`] or
+/// [`Executor::try_spgemm_masked`] run may allocate. The exact-sized
 /// output itself is exempt — the budget bounds what the engine uses *on
 /// top of* the result the caller asked for.
 ///
@@ -149,8 +150,8 @@ pub enum NonFinitePolicy {
     Propagate,
     /// Every call scans operand values up front and fails with
     /// [`SmashError::NonFinite`] (`try_*`) or panics with its message
-    /// (`spmv`, `spmm_dense`, `spgemm`, `encode`) before running any
-    /// kernel.
+    /// (`spmv`, `spmm_dense`, `spgemm`, `spgemm_masked`, `encode`)
+    /// before running any kernel.
     Reject,
 }
 
@@ -623,6 +624,42 @@ impl Executor {
         or_panic(self.try_spgemm(a, b)).0
     }
 
+    /// Masked sparse × sparse multiply `C = (A · B) ∘ M`: the Gustavson
+    /// product kept only at `mask`'s stored positions (values ignored),
+    /// computed without materializing the unmasked product. The result
+    /// is `==` to [`Executor::spgemm`]'s filtered by the mask's pattern,
+    /// whichever path runs. This is [`Executor::try_spgemm_masked`],
+    /// panicking on its error.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`SmashError`] message of
+    /// [`Executor::try_spgemm_masked`] — e.g. `"spgemm_masked: dimension
+    /// mismatch …"` if the mask is not `a.rows() × b.cols()`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use smash_kernels::Executor;
+    /// use smash_matrix::generators;
+    ///
+    /// let a = generators::power_law(96, 96, 1_200, 1.3, 5);
+    /// let exec = Executor::auto();
+    /// let c = exec.spgemm_masked(&a, &a, &a); // (A·A) ∘ A
+    /// let full = exec.spgemm(&a, &a).to_coo();
+    /// let filtered: Vec<_> = full
+    ///     .entries()
+    ///     .iter()
+    ///     .filter(|&&(i, j, _)| a.row(i as usize).0.binary_search(&j).is_ok())
+    ///     .copied()
+    ///     .collect();
+    /// assert_eq!(c.to_coo().entries(), filtered); // exact, not approx
+    /// ```
+    #[track_caller]
+    pub fn spgemm_masked<T: Scalar>(&self, a: &Csr<T>, b: &Csr<T>, mask: &Csr<T>) -> Csr<T> {
+        or_panic(self.try_spgemm_masked(a, b, mask)).0
+    }
+
     /// Sparse × sparse multiply emitted straight into the SMASH encoding
     /// (compress-on-the-fly): `==` to compressing
     /// [`Executor::spgemm`]'s result with `SmashMatrix::encode`, without
@@ -930,18 +967,61 @@ impl Executor {
         a: &Csr<T>,
         b: &Csr<T>,
     ) -> Result<(Csr<T>, ExecReport), SmashError> {
-        const OP: &str = "spgemm";
+        self.spgemm_body("spgemm", a, b, None)
+    }
+
+    /// Masked sparse × sparse multiply `C = (A · B) ∘ M`, the one body
+    /// behind [`Executor::spgemm_masked`]: [`Executor::try_spgemm`]'s
+    /// validation, plan, budget and ladder, with the Gustavson rows
+    /// accumulating only at `mask`'s stored positions (see the
+    /// [`spgemm`](crate::spgemm) module docs). The mask's structure is
+    /// validated; its values are ignored.
+    ///
+    /// # Errors
+    ///
+    /// As [`Executor::try_spgemm`], plus
+    /// [`SmashError::DimensionMismatch`] if `mask` is not
+    /// `a.rows() × b.cols()` and [`SmashError::InvalidStructure`] for a
+    /// corrupt mask.
+    pub fn try_spgemm_masked<T: Scalar>(
+        &self,
+        a: &Csr<T>,
+        b: &Csr<T>,
+        mask: &Csr<T>,
+    ) -> Result<(Csr<T>, ExecReport), SmashError> {
+        self.spgemm_body("spgemm_masked", a, b, Some(mask))
+    }
+
+    /// The shared body of [`Executor::try_spgemm`] (`mask = None`) and
+    /// [`Executor::try_spgemm_masked`].
+    fn spgemm_body<T: Scalar>(
+        &self,
+        op: &'static str,
+        a: &Csr<T>,
+        b: &Csr<T>,
+        mask: Option<&Csr<T>>,
+    ) -> Result<(Csr<T>, ExecReport), SmashError> {
         if a.cols() != b.rows() {
             return Err(SmashError::DimensionMismatch {
-                op: OP,
+                op,
                 expected: (a.cols(), b.cols()),
                 got: (b.rows(), b.cols()),
             });
         }
-        SpmvOperand::Csr(a).check(OP)?;
-        SpmvOperand::Csr(b).check(OP)?;
-        self.check_finite(OP, "A", a.values())?;
-        self.check_finite(OP, "B", b.values())?;
+        if let Some(m) = mask {
+            if (m.rows(), m.cols()) != (a.rows(), b.cols()) {
+                return Err(SmashError::DimensionMismatch {
+                    op,
+                    expected: (a.rows(), b.cols()),
+                    got: (m.rows(), m.cols()),
+                });
+            }
+            SpmvOperand::Csr(m).check(op)?;
+        }
+        SpmvOperand::Csr(a).check(op)?;
+        SpmvOperand::Csr(b).check(op)?;
+        self.check_finite(op, "A", a.values())?;
+        self.check_finite(op, "B", b.values())?;
         let (bounds, work) = crate::spgemm::symbolic_bounds(a, b);
         let plan = self.make_plan(
             Op::Spgemm,
@@ -952,7 +1032,7 @@ impl Executor {
         );
         let mut report = self.start_report(plan);
         if let Some(budget) = self.budget {
-            let needed = crate::spgemm::estimate_engine_bytes::<T>(&bounds, b.cols());
+            let needed = crate::spgemm::estimate_engine_bytes(&bounds, mask, b.cols());
             if needed > budget.bytes() || Self::budget_fault_injected() {
                 if !budget.degrades() {
                     return Err(SmashError::ResourceExhausted {
@@ -960,7 +1040,7 @@ impl Executor {
                         budget: budget.bytes(),
                     });
                 }
-                let (c, run) = crate::spgemm::spgemm_chunked(a, b, &bounds, budget.bytes())?;
+                let (c, run) = crate::spgemm::spgemm_chunked(a, b, mask, &bounds, budget.bytes())?;
                 report.note(Degradation::ChunkedSpgemm {
                     chunks: run.chunks,
                     peak_scratch_bytes: run.peak_scratch_bytes,
@@ -970,11 +1050,11 @@ impl Executor {
             }
         }
         let c = self.ladder(
-            OP,
+            op,
             &mut report,
             &mut (),
-            |pool, _| crate::spgemm::par_spgemm_bounded(pool, a, b, &bounds),
-            |_| crate::spgemm::spgemm_bounded(a, b, &bounds),
+            |pool, _| crate::spgemm::par_spgemm_bounded(pool, a, b, mask, &bounds),
+            |_| crate::spgemm::spgemm_bounded(a, b, mask, &bounds),
         )?;
         Ok((c, report))
     }
@@ -1172,6 +1252,10 @@ mod tests {
             }
             assert_eq!(exec.spgemm(&a, &a), exec.try_spgemm(&a, &a).unwrap().0);
             assert_eq!(
+                exec.spgemm_masked(&a, &a, &a),
+                exec.try_spgemm_masked(&a, &a, &a).unwrap().0
+            );
+            assert_eq!(
                 exec.encode(&a, cfg.clone()),
                 exec.try_encode(&a, cfg.clone()).unwrap().0
             );
@@ -1190,6 +1274,13 @@ mod tests {
             exec.spgemm(&a, &generators::uniform(7, 7, 10, 2));
         });
         assert!(msg.starts_with("spgemm: dimension mismatch"), "{msg}");
+        let msg = message(&|| {
+            exec.spgemm_masked(&a, &a, &generators::uniform(128, 7, 10, 2));
+        });
+        assert!(
+            msg.starts_with("spgemm_masked: dimension mismatch"),
+            "{msg}"
+        );
         let bad = Csr::<f64>::from_parts_unchecked(2, 2, vec![0, 5, 5], vec![0], vec![1.0]);
         let msg = message(&|| {
             exec.encode(&bad, cfg.clone());

@@ -42,6 +42,27 @@
 //! crate (see the policy note in [`crate::native`]): a structurally-hit
 //! position whose accumulated value cancels to ±0.0 is not stored.
 //!
+//! # Masked products
+//!
+//! The same row body also computes `C = (A · B) ∘ M` for a structural
+//! output mask `M` (its values are ignored), through
+//! [`Executor::spgemm_masked`](crate::Executor::spgemm_masked). Partial
+//! products that land outside `M` are never accumulated, so a product
+//! whose output is mostly thrown away — `A²` masked by `A` in triangle
+//! counting — costs its flops but not its output.
+//!
+//! * **Contract.** The result is `==` (triplet-exact) to the unmasked
+//!   product filtered by `M`'s pattern, in serial, parallel and chunked
+//!   runs alike.
+//! * **Accumulator.** Every masked row uses the epoch-stamped dense
+//!   accumulator, armed at `M[i,:]`'s columns only with value `ZERO`.
+//!   Scatter skips unarmed columns, so a slot's first hit folds
+//!   `av.mul_add(bv, ZERO)` exactly as the unmasked first hit does; the
+//!   drain walks `M[i,:]` in order, with no touched list and no sort,
+//!   dropping exact zeros (armed-but-unhit and cancelled slots alike).
+//! * **Memory.** Staging holds at most `Σ min(ub[i], nnz(M[i,:]))`
+//!   entries, plus the `b.cols()`-wide stamp/value scratch per worker.
+//!
 //! # Example
 //!
 //! ```
@@ -163,6 +184,38 @@ impl<T: Scalar> DenseAcc<T> {
         }
     }
 
+    /// Arms the current row at the mask row's columns only, each holding
+    /// `T::ZERO` — so a slot's first hit folds `av.mul_add(bv, ZERO)`,
+    /// exactly the unmasked first hit.
+    fn arm(&mut self, mask_cols: &[u32]) {
+        for &j in mask_cols {
+            self.stamp[j as usize] = self.epoch;
+            self.vals[j as usize] = T::ZERO;
+        }
+    }
+
+    /// Scatter into an armed row: contributions to unarmed columns fall
+    /// outside the mask and are skipped.
+    #[inline]
+    fn scatter_armed(&mut self, j: u32, av: T, bv: T) {
+        let slot = j as usize;
+        if self.stamp[slot] == self.epoch {
+            self.vals[slot] = av.mul_add(bv, self.vals[slot]);
+        }
+    }
+
+    /// Drains an armed row by walking the (sorted) mask row, dropping
+    /// exact zeros — armed-but-unhit slots and cancelled ones alike.
+    fn drain_armed(&self, mask_cols: &[u32], cols: &mut Vec<u32>, vals: &mut Vec<T>) {
+        for &j in mask_cols {
+            let v = self.vals[j as usize];
+            if !v.is_zero() {
+                cols.push(j);
+                vals.push(v);
+            }
+        }
+    }
+
     /// Drains the touched columns in ascending order into `(cols, vals)`,
     /// dropping exact zeros.
     fn drain_sorted(&mut self, cols: &mut Vec<u32>, vals: &mut Vec<T>) {
@@ -191,6 +244,8 @@ struct HashAcc<T> {
     /// Occupied slot indices, for O(occupied) reset and draining.
     slots: Vec<u32>,
     mask: usize,
+    /// Drain scratch: the row's `(column, value)` pairs, sorted by column.
+    pairs: Vec<(u32, T)>,
 }
 
 impl<T: Scalar> HashAcc<T> {
@@ -200,6 +255,7 @@ impl<T: Scalar> HashAcc<T> {
             vals: Vec::new(),
             slots: Vec::new(),
             mask: 0,
+            pairs: Vec::new(),
         }
     }
 
@@ -240,23 +296,22 @@ impl<T: Scalar> HashAcc<T> {
     }
 
     /// Drains the occupied slots in ascending column order into
-    /// `(cols, vals)`, dropping exact zeros.
+    /// `(cols, vals)`, dropping exact zeros. Keys are unique, so the
+    /// unstable sort is deterministic.
     fn drain_sorted(&mut self, cols: &mut Vec<u32>, vals: &mut Vec<T>) {
-        let base = cols.len();
-        for &s in &self.slots {
-            let v = self.vals[s as usize];
-            if !v.is_zero() {
-                cols.push(self.keys[s as usize]);
-                vals.push(v);
-            }
+        let (keys, slot_vals) = (&self.keys, &self.vals);
+        self.pairs.clear();
+        self.pairs.extend(
+            self.slots
+                .iter()
+                .map(|&s| (keys[s as usize], slot_vals[s as usize]))
+                .filter(|&(_, v)| !v.is_zero()),
+        );
+        self.pairs.sort_unstable_by_key(|&(j, _)| j);
+        for &(j, v) in &self.pairs {
+            cols.push(j);
+            vals.push(v);
         }
-        // Sort the freshly appended tail by column, carrying values along.
-        let mut order: Vec<u32> = (0..(cols.len() - base) as u32).collect();
-        order.sort_unstable_by_key(|&p| cols[base + p as usize]);
-        let tail_cols: Vec<u32> = order.iter().map(|&p| cols[base + p as usize]).collect();
-        let tail_vals: Vec<T> = order.iter().map(|&p| vals[base + p as usize]).collect();
-        cols[base..].copy_from_slice(&tail_cols);
-        vals[base..].clone_from_slice(&tail_vals);
     }
 }
 
@@ -280,12 +335,33 @@ impl<T> Default for RowChunk<T> {
     }
 }
 
+/// Feeds every partial product `(j, A[i,k], B[k,j])` of one output row
+/// to `f`, in ascending-`k` order — the fold order every accumulator
+/// relies on for its exactness.
+#[inline]
+fn for_each_product<T: Scalar>(
+    a_cols: &[u32],
+    a_vals: &[T],
+    b: &Csr<T>,
+    mut f: impl FnMut(u32, T, T),
+) {
+    for (&k, &av) in a_cols.iter().zip(a_vals) {
+        let (b_cols, b_vals) = b.row(k as usize);
+        for (&j, &bv) in b_cols.iter().zip(b_vals) {
+            f(j, av, bv);
+        }
+    }
+}
+
 /// Runs the numeric pass over `rows`, invoking `emit(i, cols, vals)` per
 /// row in ascending row order — `cols` strictly increasing, exact zeros
-/// already dropped. The scratch accumulators live across the whole range.
+/// already dropped. With a `mask`, row `i` keeps only the positions of
+/// `mask`'s row `i` (its values are ignored). The scratch accumulators
+/// live across the whole range.
 fn gustavson_rows<T: Scalar>(
     a: &Csr<T>,
     b: &Csr<T>,
+    mask: Option<&Csr<T>>,
     rows: Range<usize>,
     bounds: &[u64],
     mut emit: impl FnMut(usize, &[u32], &[T]),
@@ -300,25 +376,22 @@ fn gustavson_rows<T: Scalar>(
         vals.clear();
         let (a_cols, a_vals) = a.row(i);
         let ub = bounds[i];
-        if ub > 0 {
-            if use_dense_accumulator(ub, n) {
+        let mask_cols = mask.map(|m| m.row(i).0);
+        if ub > 0 && mask_cols.is_none_or(|m| !m.is_empty()) {
+            if let Some(mask_cols) = mask_cols {
                 let acc = dense.get_or_insert_with(|| DenseAcc::new(n));
                 acc.begin_row();
-                for (&k, &av) in a_cols.iter().zip(a_vals) {
-                    let (b_cols, b_vals) = b.row(k as usize);
-                    for (&j, &bv) in b_cols.iter().zip(b_vals) {
-                        acc.scatter(j, av, bv);
-                    }
-                }
+                acc.arm(mask_cols);
+                for_each_product(a_cols, a_vals, b, |j, av, bv| acc.scatter_armed(j, av, bv));
+                acc.drain_armed(mask_cols, &mut cols, &mut vals);
+            } else if use_dense_accumulator(ub, n) {
+                let acc = dense.get_or_insert_with(|| DenseAcc::new(n));
+                acc.begin_row();
+                for_each_product(a_cols, a_vals, b, |j, av, bv| acc.scatter(j, av, bv));
                 acc.drain_sorted(&mut cols, &mut vals);
             } else {
                 hash.begin_row(ub);
-                for (&k, &av) in a_cols.iter().zip(a_vals) {
-                    let (b_cols, b_vals) = b.row(k as usize);
-                    for (&j, &bv) in b_cols.iter().zip(b_vals) {
-                        hash.scatter(j, av, bv);
-                    }
-                }
+                for_each_product(a_cols, a_vals, b, |j, av, bv| hash.scatter(j, av, bv));
                 hash.drain_sorted(&mut cols, &mut vals);
             }
         }
@@ -330,11 +403,12 @@ fn gustavson_rows<T: Scalar>(
 fn spgemm_chunk<T: Scalar>(
     a: &Csr<T>,
     b: &Csr<T>,
+    mask: Option<&Csr<T>>,
     rows: Range<usize>,
     bounds: &[u64],
 ) -> RowChunk<T> {
     let mut chunk = RowChunk::default();
-    gustavson_rows(a, b, rows, bounds, |_, cols, vals| {
+    gustavson_rows(a, b, mask, rows, bounds, |_, cols, vals| {
         chunk.counts.push(cols.len() as u32);
         chunk.cols.extend_from_slice(cols);
         chunk.vals.extend_from_slice(vals);
@@ -362,15 +436,22 @@ fn assemble<T: Scalar>(rows: usize, cols: usize, chunks: Vec<RowChunk<T>>) -> Cs
 ///
 /// Panics if `a.cols() != b.rows()`.
 pub fn spgemm<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Csr<T> {
-    spgemm_bounded(a, b, &symbolic_bounds(a, b).0)
+    spgemm_bounded(a, b, None, &symbolic_bounds(a, b).0)
 }
 
-/// [`spgemm`] over symbolic `bounds` the caller already holds.
-pub(crate) fn spgemm_bounded<T: Scalar>(a: &Csr<T>, b: &Csr<T>, bounds: &[u64]) -> Csr<T> {
+/// [`spgemm`] over symbolic `bounds` the caller already holds, optionally
+/// masked: the output keeps only `mask`'s positions (see "Masked
+/// products" in the module docs).
+pub(crate) fn spgemm_bounded<T: Scalar>(
+    a: &Csr<T>,
+    b: &Csr<T>,
+    mask: Option<&Csr<T>>,
+    bounds: &[u64],
+) -> Csr<T> {
     assemble(
         a.rows(),
         b.cols(),
-        vec![spgemm_chunk(a, b, 0..a.rows(), bounds)],
+        vec![spgemm_chunk(a, b, mask, 0..a.rows(), bounds)],
     )
 }
 
@@ -383,14 +464,16 @@ pub(crate) fn spgemm_bounded<T: Scalar>(a: &Csr<T>, b: &Csr<T>, bounds: &[u64]) 
 ///
 /// Panics if `a.cols() != b.rows()`.
 pub fn par_spgemm<T: Scalar>(pool: &ThreadPool, a: &Csr<T>, b: &Csr<T>) -> Csr<T> {
-    par_spgemm_bounded(pool, a, b, &symbolic_bounds(a, b).0)
+    par_spgemm_bounded(pool, a, b, None, &symbolic_bounds(a, b).0)
 }
 
-/// [`par_spgemm`] over symbolic `bounds` the caller already holds.
+/// [`par_spgemm`] over symbolic `bounds` the caller already holds,
+/// optionally masked as in [`spgemm_bounded`].
 pub(crate) fn par_spgemm_bounded<T: Scalar>(
     pool: &ThreadPool,
     a: &Csr<T>,
     b: &Csr<T>,
+    mask: Option<&Csr<T>>,
     bounds: &[u64],
 ) -> Csr<T> {
     let ranges = partition_by_weight(a.rows(), pool.threads(), |i| bounds[i]);
@@ -398,7 +481,7 @@ pub(crate) fn par_spgemm_bounded<T: Scalar>(
     chunks.resize_with(ranges.len(), RowChunk::default);
     pool.scoped(|s| {
         for (range, slot) in ranges.iter().cloned().zip(chunks.iter_mut()) {
-            s.execute(move || *slot = spgemm_chunk(a, b, range, bounds));
+            s.execute(move || *slot = spgemm_chunk(a, b, mask, range, bounds));
         }
     });
     assemble(a.rows(), b.cols(), chunks)
@@ -419,7 +502,7 @@ fn spgemm_smash_part<T: Scalar>(
     let mut bits = Vec::new();
     let mut nza = Vec::new();
     let mut block = vec![T::ZERO; b0];
-    gustavson_rows(a, b, rows, bounds, |i, cols, vals| {
+    gustavson_rows(a, b, None, rows, bounds, |i, cols, vals| {
         let base = i * bpl;
         for_each_line_block(cols, vals, &mut block, |blk, block_vals| {
             bits.push(base + blk);
@@ -562,19 +645,34 @@ pub fn row_scratch_bytes<T: Scalar>(ub: u64, n: usize) -> u64 {
     }
 }
 
+/// Staged-entry bound and accumulator scratch bytes of output row `i`,
+/// whose symbolic bound is `ub`: unmasked, `ub` entries and
+/// [`row_scratch_bytes`]; masked, at most `min(ub, nnz(mask[i,:]))`
+/// entries through the armed dense accumulator, `n` columns wide.
+fn row_footprint<T: Scalar>(ub: u64, mask: Option<&Csr<T>>, i: usize, n: usize) -> (u64, u64) {
+    match mask {
+        None => (ub, row_scratch_bytes::<T>(ub, n)),
+        Some(m) => (
+            ub.min(m.row_nnz(i) as u64),
+            (n as u64).saturating_mul(std::mem::size_of::<T>() as u64 + 4),
+        ),
+    }
+}
+
 /// Upper bound on the **transient engine memory** of an unchunked
-/// [`spgemm`] run over these symbolic `bounds` into `n` output columns:
-/// the staged `(column, value)` stream plus the splice into the builder
-/// (each at most `Σ ub` entries), plus the widest row's accumulator
-/// scratch. This is the estimate the executor's
-/// [`MemoryBudget`](crate::MemoryBudget) is checked against.
-pub fn estimate_engine_bytes<T: Scalar>(bounds: &[u64], n: usize) -> u64 {
-    let total: u64 = bounds.iter().sum();
-    let max_row = bounds
-        .iter()
-        .map(|&ub| row_scratch_bytes::<T>(ub, n))
-        .max()
-        .unwrap_or(0);
+/// [`spgemm`] run over these symbolic `bounds` into `n` output columns,
+/// optionally masked by `mask` (`mask.rows() == bounds.len()`): the
+/// staged `(column, value)` stream plus the splice into the builder
+/// (each at most `Σ ub` entries, or `Σ min(ub, nnz(mask[i,:]))` masked),
+/// plus the widest row's accumulator scratch. This is the estimate the
+/// executor's [`MemoryBudget`](crate::MemoryBudget) is checked against.
+pub fn estimate_engine_bytes<T: Scalar>(bounds: &[u64], mask: Option<&Csr<T>>, n: usize) -> u64 {
+    let (mut total, mut max_row) = (0u64, 0u64);
+    for (i, &ub) in bounds.iter().enumerate() {
+        let (entries, scratch) = row_footprint(ub, mask, i, n);
+        total = total.saturating_add(entries);
+        max_row = max_row.max(scratch);
+    }
     total
         .saturating_mul(entry_bytes::<T>())
         .saturating_mul(2)
@@ -595,9 +693,10 @@ pub struct ChunkedRun {
     pub budget_bytes: u64,
 }
 
-/// Row-chunked Gustavson SpGEMM: identical output to [`spgemm`], with the
-/// transient engine memory (per-chunk staging plus accumulator scratch)
-/// capped at `scratch_budget` bytes. Rows are processed in ascending
+/// Row-chunked Gustavson SpGEMM: identical output to [`spgemm`] (or,
+/// with a `mask`, to the masked product), with the transient engine
+/// memory (per-chunk staging plus accumulator scratch) capped at
+/// `scratch_budget` bytes. Rows are processed in ascending
 /// order through the same per-row body as the unchunked engine
 /// (`gustavson_rows` via the chunk packager), and each chunk is spliced
 /// into the output builder before the next chunk's staging is allocated —
@@ -617,16 +716,21 @@ pub struct ChunkedRun {
 /// # Panics
 ///
 /// Panics if `a.cols() != b.rows()` or `bounds.len() != a.rows()`
-/// (callers obtain `bounds` from [`symbolic_bounds`]).
+/// (callers obtain `bounds` from [`symbolic_bounds`]), or if `mask` is
+/// not `a.rows() × b.cols()`.
 pub fn spgemm_chunked<T: Scalar>(
     a: &Csr<T>,
     b: &Csr<T>,
+    mask: Option<&Csr<T>>,
     bounds: &[u64],
     scratch_budget: u64,
 ) -> Result<(Csr<T>, ChunkedRun), SmashError> {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     assert_eq!(bounds.len(), a.rows(), "one symbolic bound per output row");
     let n = b.cols();
+    if let Some(m) = mask {
+        assert_eq!((m.rows(), m.cols()), (a.rows(), n), "mask shape");
+    }
     let mut builder = CsrBuilder::new(n);
     let mut run = ChunkedRun {
         chunks: 0,
@@ -640,14 +744,14 @@ pub fn spgemm_chunked<T: Scalar>(
     let mut stage = 0u64;
     let mut acc = 0u64;
     let mut flush = |start: usize, end: usize, footprint: u64, run: &mut ChunkedRun| {
-        let chunk = spgemm_chunk(a, b, start..end, bounds);
+        let chunk = spgemm_chunk(a, b, mask, start..end, bounds);
         builder.push_row_chunk(&chunk.counts, &chunk.cols, &chunk.vals);
         run.chunks += 1;
         run.peak_scratch_bytes = run.peak_scratch_bytes.max(footprint);
     };
     for (i, &ub) in bounds.iter().enumerate() {
-        let row_stage = ub.saturating_mul(entry_bytes::<T>()) + 4;
-        let row_acc = row_scratch_bytes::<T>(ub, n);
+        let (entries, row_acc) = row_footprint(ub, mask, i, n);
+        let row_stage = entries.saturating_mul(entry_bytes::<T>()) + 4;
         let row_min = row_stage.saturating_add(row_acc);
         if row_min > scratch_budget {
             return Err(SmashError::ResourceExhausted {
@@ -743,8 +847,8 @@ mod tests {
         let (bounds, _) = symbolic_bounds(&a, &a);
 
         // A budget covering the whole unchunked estimate: one chunk.
-        let full = estimate_engine_bytes::<f64>(&bounds, a.cols());
-        let (c, run) = spgemm_chunked(&a, &a, &bounds, full).unwrap();
+        let full = estimate_engine_bytes::<f64>(&bounds, None, a.cols());
+        let (c, run) = spgemm_chunked(&a, &a, None, &bounds, full).unwrap();
         assert_eq!(c, want, "roomy budget");
         assert_eq!(run.chunks, 1);
         assert!(run.peak_scratch_bytes <= run.budget_bytes);
@@ -756,7 +860,7 @@ mod tests {
             .map(|&ub| ub * entry_bytes::<f64>() + 4 + row_scratch_bytes::<f64>(ub, a.cols()))
             .max()
             .unwrap();
-        let (c, run) = spgemm_chunked(&a, &a, &bounds, tight).unwrap();
+        let (c, run) = spgemm_chunked(&a, &a, None, &bounds, tight).unwrap();
         assert_eq!(c, want, "tight budget");
         assert!(run.chunks > 1, "tight budget must force chunking");
         assert!(
@@ -771,7 +875,7 @@ mod tests {
     fn chunked_run_reports_exhaustion_when_one_row_cannot_fit() {
         let a = generators::uniform(32, 32, 300, 5);
         let (bounds, _) = symbolic_bounds(&a, &a);
-        let err = spgemm_chunked(&a, &a, &bounds, 1).expect_err("1 byte fits nothing");
+        let err = spgemm_chunked(&a, &a, None, &bounds, 1).expect_err("1 byte fits nothing");
         match err {
             SmashError::ResourceExhausted { needed, budget } => {
                 assert_eq!(budget, 1);
@@ -783,14 +887,15 @@ mod tests {
 
     #[test]
     fn engine_estimate_scales_with_work() {
-        let small = estimate_engine_bytes::<f64>(&[1, 2, 3], 64);
-        let big = estimate_engine_bytes::<f64>(&[100, 200, 300], 64);
+        let small = estimate_engine_bytes::<f64>(&[1, 2, 3], None, 64);
+        let big = estimate_engine_bytes::<f64>(&[100, 200, 300], None, 64);
         assert!(big > small);
         // f32 entries are smaller than f64 entries.
         assert!(
-            estimate_engine_bytes::<f32>(&[100], 64) < estimate_engine_bytes::<f64>(&[100], 64)
+            estimate_engine_bytes::<f32>(&[100], None, 64)
+                < estimate_engine_bytes::<f64>(&[100], None, 64)
         );
-        assert_eq!(estimate_engine_bytes::<f64>(&[], 64), 0);
+        assert_eq!(estimate_engine_bytes::<f64>(&[], None, 64), 0);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Triangle counting and two-hop statistics through the Gustavson
-//! SpGEMM engine: the sparse × sparse `A²` workload, dispatched
-//! serial/parallel by the executor and checked for cross-mode equality.
+//! SpGEMM engine — the masked product `(L·L)∘L` over the strict lower
+//! triangle for triangles, the full `A²` for two-hop neighbourhoods —
+//! dispatched serial/parallel by the executor and checked for
+//! cross-mode equality.
 //!
 //! Run with: `cargo run --release --example triangle_2hop`
 

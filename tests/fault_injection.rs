@@ -108,20 +108,29 @@ fn budget_check_injection_exercises_both_budget_policies() {
     drop(session);
 
     // Degrade policy: the injected exhaustion re-plans as the chunked
-    // streaming engine, which must still be bit-identical.
+    // streaming engine, which must still be bit-identical — for the
+    // masked product as well as the plain one.
     let degrade = Executor::serial().with_budget(MemoryBudget::degrade_over(u64::MAX));
-    let session = arm(FaultPlan::new().fail_at(Site::BudgetCheck, 1));
-    let (c, report) = degrade.try_spgemm(&a, &a).expect("degrade policy");
-    drop(session);
-    assert_eq!(c, want);
-    assert!(
-        matches!(
-            &report.degradations[..],
-            [Degradation::ChunkedSpgemm { .. }]
-        ),
-        "expected a ChunkedSpgemm degradation: {:?}",
-        report.degradations
-    );
+    let want_masked = Executor::serial().spgemm_masked(&a, &a, &a);
+    for (name, masked) in [("spgemm", false), ("spgemm_masked", true)] {
+        let session = arm(FaultPlan::new().fail_at(Site::BudgetCheck, 1));
+        let (c, report) = if masked {
+            degrade.try_spgemm_masked(&a, &a, &a)
+        } else {
+            degrade.try_spgemm(&a, &a)
+        }
+        .expect("degrade policy");
+        drop(session);
+        assert_eq!(&c, if masked { &want_masked } else { &want }, "{name}");
+        assert!(
+            matches!(
+                &report.degradations[..],
+                [Degradation::ChunkedSpgemm { .. }]
+            ),
+            "{name}: expected a ChunkedSpgemm degradation: {:?}",
+            report.degradations
+        );
+    }
 }
 
 proptest! {

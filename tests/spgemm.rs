@@ -1,14 +1,16 @@
 //! The Gustavson SpGEMM engine pinned against the inner-product oracle:
 //! triplet-exact equality (not tolerance) at every thread count and both
 //! precisions, the shared drop-exact-zeros cancellation policy across
-//! every sparse × sparse kernel, and the structural edge cases.
+//! every sparse × sparse kernel, and the structural edge cases. The
+//! masked product `(A · B) ∘ M` is pinned against the unmasked product
+//! filtered by the mask's pattern, with the same exactness.
 
 use proptest::prelude::*;
 use smash::encoding::{SmashConfig, SmashMatrix};
 use smash::kernels::{native, spgemm};
 use smash::matrix::{Coo, Csr, Scalar};
 use smash::parallel::ThreadPool;
-use smash::Executor;
+use smash::{Degradation, ExecReport, Executor, MemoryBudget, NonFinitePolicy, SmashError};
 
 /// The oracle: `Csr::spmm_inner`'s triplet list — per (i, j), the
 /// ascending-k `mul_add` fold over the structural intersection, exact
@@ -17,8 +19,15 @@ fn oracle<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Vec<(u32, u32, T)> {
     a.spmm_inner(&b.to_csc()).unwrap().entries().to_vec()
 }
 
+/// Every stored triplet, read straight from the CSR arrays (`to_coo`
+/// would drop explicit zeros), so a stored zero fails the comparison.
 fn engine_entries<T: Scalar>(c: &Csr<T>) -> Vec<(u32, u32, T)> {
-    c.to_coo().entries().to_vec()
+    (0..c.rows())
+        .flat_map(|i| {
+            let (cols, vals) = c.row(i);
+            cols.iter().zip(vals).map(move |(&j, &v)| (i as u32, j, v))
+        })
+        .collect()
 }
 
 /// Sparse matrix with integer-valued (hence exactly representable,
@@ -45,6 +54,53 @@ fn arb_matrix(
 /// A linked pair `(A: r×k, B: k×c)` with conforming inner dimension.
 fn arb_pair() -> impl Strategy<Value = (Csr<f64>, Csr<f64>)> {
     (1usize..40).prop_flat_map(|k| (arb_matrix(1..40, k..k + 1), arb_matrix(k..k + 1, 1..40)))
+}
+
+/// A linked pair plus an `r×c` output mask.
+fn arb_masked() -> impl Strategy<Value = (Csr<f64>, Csr<f64>, Csr<f64>)> {
+    arb_pair().prop_flat_map(|(a, b)| {
+        let (r, c) = (a.rows(), b.cols());
+        (Just(a), Just(b), arb_matrix(r..r + 1, c..c + 1))
+    })
+}
+
+/// The masked-product reference: `c`'s triplets at `mask`'s positions.
+fn filtered<T: Scalar>(c: &Csr<T>, mask: &Csr<T>) -> Vec<(u32, u32, T)> {
+    engine_entries(c)
+        .into_iter()
+        .filter(|&(i, j, _)| mask.row(i as usize).0.binary_search(&j).is_ok())
+        .collect()
+}
+
+/// The masked product chunked under the tightest budget every row fits
+/// alone in: the cap starts at zero and rises to each per-row minimum the
+/// typed error reports until the run fits.
+fn tightest_chunked<T: Scalar>(a: &Csr<T>, b: &Csr<T>, m: &Csr<T>) -> (Csr<T>, ExecReport) {
+    let mut cap = 0;
+    loop {
+        let exec = Executor::serial().with_budget(MemoryBudget::degrade_over(cap));
+        match exec.try_spgemm_masked(a, b, m) {
+            Ok(run) => return run,
+            Err(SmashError::ResourceExhausted { needed, .. }) if needed > cap => cap = needed,
+            Err(other) => panic!("tightest budget {cap}: {other}"),
+        }
+    }
+}
+
+/// `spgemm_masked` is triplet-exact to `spgemm` filtered by the mask:
+/// serial, at threads {1, 2, 3, 8}, and chunked under the tightest
+/// per-row budget.
+fn check_masked<T: Scalar>(a: &Csr<T>, b: &Csr<T>, m: &Csr<T>) -> TestCaseResult {
+    let want = filtered(&Executor::serial().spgemm(a, b), m);
+    let serial = Executor::serial().spgemm_masked(a, b, m);
+    prop_assert_eq!(&engine_entries(&serial), &want);
+    for threads in [1usize, 2, 3, 8] {
+        let c = Executor::with_threads(threads).spgemm_masked(a, b, m);
+        prop_assert_eq!(&engine_entries(&c), &want, "threads={}", threads);
+    }
+    let (c, _) = tightest_chunked(a, b, m);
+    prop_assert_eq!(&engine_entries(&c), &want, "chunked");
+    Ok(())
 }
 
 proptest! {
@@ -102,6 +158,15 @@ proptest! {
         let sm = native::spmm_smash(&sa, &sb);
         prop_assert!(sm.entries().iter().all(|&(_, _, v)| v != 0.0));
         prop_assert_eq!(sm.entries(), want.as_slice());
+    }
+
+    /// The masked contract at both precisions (integer-valued entries
+    /// stay exact at f32).
+    #[test]
+    fn masked_product_is_the_filtered_product_in_every_mode(triple in arb_masked()) {
+        let (a, b, m) = triple;
+        check_masked(&a, &b, &m)?;
+        check_masked(&a.cast::<f32>(), &b.cast::<f32>(), &m.cast::<f32>())?;
     }
 
     /// Output structure invariants: per row, columns strictly increasing
@@ -267,4 +332,97 @@ fn executor_spmm_smash_parallel_mode_runs_and_matches() {
             "{name}"
         );
     }
+}
+
+#[test]
+fn masked_edge_cases() {
+    let a = smash::matrix::generators::power_law(120, 120, 2_500, 1.3, 5);
+    let full = Executor::serial().spgemm(&a, &a);
+    for (name, exec) in [
+        ("serial", Executor::serial()),
+        ("threads3", Executor::with_threads(3)),
+    ] {
+        // An empty mask keeps nothing.
+        let empty = Csr::<f64>::from_coo(&Coo::new(120, 120));
+        let c = exec.spgemm_masked(&a, &a, &empty);
+        assert_eq!((c.rows(), c.cols(), c.nnz()), (120, 120, 0), "{name}");
+
+        // A mask over exactly the positions the product never hits.
+        let mut misses = Coo::new(120, 120);
+        for i in 0..120 {
+            for j in 0..120u32 {
+                if full.row(i).0.binary_search(&j).is_err() {
+                    misses.push(i, j as usize, 1.0);
+                }
+            }
+        }
+        let misses = Csr::from_coo(&misses);
+        assert!(misses.nnz() > 0);
+        assert_eq!(exec.spgemm_masked(&a, &a, &misses).nnz(), 0, "{name}");
+
+        // An all-dense mask is the unmasked product.
+        let mut dense = Coo::new(120, 120);
+        for i in 0..120 {
+            for j in 0..120 {
+                dense.push(i, j, -1.0);
+            }
+        }
+        let dense = Csr::from_coo(&dense);
+        assert_eq!(exec.spgemm_masked(&a, &a, &dense), full, "{name}");
+    }
+
+    // The tightest per-row budget really chunks the masked run.
+    let (c, report) = tightest_chunked(&a, &a, &a);
+    assert_eq!(engine_entries(&c), filtered(&full, &a));
+    match &report.degradations[..] {
+        [Degradation::ChunkedSpgemm { chunks, .. }] => assert!(*chunks > 1, "{chunks}"),
+        other => panic!("expected one ChunkedSpgemm degradation, got {other:?}"),
+    }
+}
+
+#[test]
+fn masked_product_reports_typed_errors() {
+    let a = smash::matrix::generators::uniform(16, 12, 60, 3);
+    let b = smash::matrix::generators::uniform(12, 10, 50, 4);
+    let exec = Executor::serial();
+
+    let wrong = smash::matrix::generators::uniform(16, 9, 20, 5);
+    match exec.try_spgemm_masked(&a, &b, &wrong) {
+        Err(SmashError::DimensionMismatch { op, expected, got }) => {
+            assert_eq!(op, "spgemm_masked");
+            assert_eq!((expected, got), ((16, 10), (16, 9)));
+        }
+        other => panic!("expected DimensionMismatch, got {other:?}"),
+    }
+
+    // row_ptr points past the index arrays.
+    let corrupt = Csr::<f64>::from_parts_unchecked(16, 10, vec![5; 17], vec![0], vec![1.0]);
+    assert!(matches!(
+        exec.try_spgemm_masked(&a, &b, &corrupt),
+        Err(SmashError::InvalidStructure { format: "csr", .. })
+    ));
+
+    // Reject scans A and B; the mask's values are never read.
+    let reject = Executor::serial().with_non_finite_policy(NonFinitePolicy::Reject);
+    let mut nan_a = a.to_coo();
+    nan_a.push(0, 0, f64::NAN);
+    nan_a.compress();
+    let nan_a = Csr::from_coo(&nan_a);
+    let mask = smash::matrix::generators::uniform(16, 10, 40, 6);
+    assert!(matches!(
+        reject.try_spgemm_masked(&nan_a, &b, &mask),
+        Err(SmashError::NonFinite {
+            op: "spgemm_masked",
+            operand: "A"
+        })
+    ));
+    let nan_mask = Csr::from_parts_unchecked(
+        16,
+        10,
+        mask.row_ptr().to_vec(),
+        mask.col_ind().to_vec(),
+        vec![f64::NAN; mask.nnz()],
+    );
+    let (c, _) = reject.try_spgemm_masked(&a, &b, &nan_mask).unwrap();
+    assert_eq!(c, reject.spgemm_masked(&a, &b, &mask));
 }
