@@ -1,7 +1,7 @@
 //! Thread-scaling of the parallel kernels: 1/2/4/8 workers across the
 //! CSR, BCSR and SMASH formats (the one parallel driver, `par_spmv_rows`),
-//! the executor's inner-product SpMM (Gustavson-backed), and the parallel
-//! compressor.
+//! the executor's sparse × sparse product (`Executor::spgemm`, benched as
+//! `parallel_spmm/csr`), and the parallel compressor.
 //!
 //! Because the parallel kernels are bit-identical to the serial ones,
 //! this bench measures pure scheduling + memory-bandwidth behaviour — the
@@ -61,11 +61,11 @@ fn bench_spmm(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(100))
         .measurement_time(Duration::from_millis(400));
     let a = generators::uniform(256, 256, 4_000, 7);
-    let b = generators::uniform(256, 256, 4_000, 8).to_csc();
+    let b = generators::uniform(256, 256, 4_000, 8);
     for threads in THREAD_COUNTS {
         let exec = Executor::with_threads(threads);
         group.bench_with_input(BenchmarkId::new("csr", threads), &a, |bch, a| {
-            bch.iter(|| exec.spmm(a, &b))
+            bch.iter(|| exec.spgemm(a, &b))
         });
     }
     group.finish();

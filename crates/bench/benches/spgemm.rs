@@ -1,13 +1,12 @@
-//! Wall-clock sparse × sparse multiply: the Gustavson engine (serial and
-//! parallel, CSR and direct-to-SMASH emission) against the inner-product
-//! baselines, on the power-law A·A and A·Aᵀ workloads where output rows
-//! vary wildly in density.
+//! Wall-clock sparse × sparse multiply: the Gustavson engine through the
+//! executor (serial and on 4 workers, CSR and direct-to-SMASH emission)
+//! against the inner-product baselines, on the power-law A·A and A·Aᵀ
+//! workloads where output rows vary wildly in density.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smash_core::SmashConfig;
-use smash_kernels::{native, spgemm};
+use smash_kernels::{native, Executor};
 use smash_matrix::generators;
-use smash_parallel::ThreadPool;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -17,7 +16,7 @@ fn bench(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_secs(1));
-    let pool = ThreadPool::new(4);
+    let (serial, par4) = (Executor::serial(), Executor::with_threads(4));
     for (label, a) in [
         (
             "power_law_512",
@@ -34,21 +33,21 @@ fn bench(c: &mut Criterion) {
         let cfg = SmashConfig::row_major(&[2, 4]).expect("valid");
 
         group.bench_with_input(BenchmarkId::new("aa/gustavson", label), &a, |bch, a| {
-            bch.iter(|| black_box(spgemm::spgemm(a, a)))
+            bch.iter(|| black_box(serial.spgemm(a, a)))
         });
         group.bench_with_input(
             BenchmarkId::new("aa/gustavson_par4", label),
             &a,
-            |bch, a| bch.iter(|| black_box(spgemm::par_spgemm(&pool, a, a))),
+            |bch, a| bch.iter(|| black_box(par4.spgemm(a, a))),
         );
         group.bench_with_input(BenchmarkId::new("aa/csr_opt(mkl)", label), &a, |bch, a| {
             bch.iter(|| black_box(native::spmm_csr_opt(a, &a_csc)))
         });
         group.bench_with_input(BenchmarkId::new("aa/to_smash", label), &a, |bch, a| {
-            bch.iter(|| black_box(spgemm::spgemm_smash(a, a, cfg.clone())))
+            bch.iter(|| black_box(serial.spgemm_smash(a, a, cfg.clone())))
         });
         group.bench_with_input(BenchmarkId::new("aat/gustavson", label), &a, |bch, a| {
-            bch.iter(|| black_box(spgemm::spgemm(a, &at)))
+            bch.iter(|| black_box(serial.spgemm(a, &at)))
         });
         group.bench_with_input(BenchmarkId::new("aat/csr_opt(mkl)", label), &a, |bch, a| {
             bch.iter(|| black_box(native::spmm_csr_opt(a, &at_csc)))

@@ -19,7 +19,7 @@
 use smash_bench::zoo::{self, Candidate, ZooMatrix, CALIBRATION_RHS};
 use smash_core::{SmashConfig, SmashMatrix};
 use smash_kernels::planner::{Format, Op, Planner};
-use smash_kernels::{spgemm, SpmvOperand};
+use smash_kernels::{spgemm, Executor, SpmvOperand};
 use smash_matrix::{generators, spmm_dense_rows, spmv_rows, Bcsr, Dense};
 use smash_parallel::{par_csr_to_smash, par_spmm_dense_rows, par_spmv_rows, ThreadPool};
 use std::collections::BTreeSet;
@@ -107,12 +107,12 @@ fn measure(z: &ZooMatrix, c: &Candidate, pool: impl Fn(usize) -> ThreadPool) -> 
                 &bt
             };
             let work = spgemm::stored_work(a, b) as f64;
-            let ns = if c.threads == 1 {
-                zoo::time_ns(3, 1, || spgemm::spgemm(a, b).nnz())
+            let exec = if c.threads == 1 {
+                Executor::serial()
             } else {
-                let p = pool(c.threads);
-                zoo::time_ns(3, 1, || spgemm::par_spgemm(&p, a, b).nnz())
+                Executor::with_threads(c.threads)
             };
+            let ns = zoo::time_ns(3, 1, || exec.spgemm(a, b).nnz());
             (work.max(1.0), ns)
         }
         Op::Encode => {

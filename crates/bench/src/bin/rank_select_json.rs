@@ -10,29 +10,13 @@
 //! * SMASH SpMM auxiliary memory (directory + per-line offsets) is
 //!   sublinear in the logical Bitmap-0 size.
 
+use smash_bench::zoo::time_ns;
 use smash_core::{Bitmap, RankIndex, SmashConfig, SmashMatrix};
 use smash_kernels::native::spmm_smash;
 use smash_kernels::test_vector;
 use smash_matrix::generators;
 use smash_parallel::{par_spmv_rows, ThreadPool};
 use std::time::Instant;
-
-/// Median-of-5 wall-clock nanoseconds for `f`, amortized over `reps`
-/// inner repetitions.
-fn time_ns<F: FnMut() -> usize>(reps: usize, mut f: F) -> f64 {
-    let mut samples = Vec::with_capacity(5);
-    let mut sink = 0usize;
-    for _ in 0..5 {
-        let t = Instant::now();
-        for _ in 0..reps {
-            sink = sink.wrapping_add(f());
-        }
-        samples.push(t.elapsed().as_nanos() as f64 / reps as f64);
-    }
-    std::hint::black_box(sink);
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[2]
-}
 
 fn main() {
     let out_path = std::env::args()
@@ -47,17 +31,17 @@ fn main() {
     }
     let idx = RankIndex::build(&bm);
     let probes: Vec<usize> = (1..=64).map(|i| i * (bits / 64) - 7).collect();
-    let indexed_rank_ns = time_ns(200, || probes.iter().map(|&p| idx.rank(&bm, p)).sum());
-    let scan_rank_ns = time_ns(3, || probes.iter().map(|&p| bm.rank(p)).sum());
+    let indexed_rank_ns = time_ns(5, 200, || probes.iter().map(|&p| idx.rank(&bm, p)).sum());
+    let scan_rank_ns = time_ns(5, 3, || probes.iter().map(|&p| bm.rank(p)).sum());
     let rank_speedup = scan_rank_ns / indexed_rank_ns;
 
     // --- Select: indexed vs iterator scan. -------------------------------
     let ones = idx.ones();
     let ks: Vec<usize> = (1..=64).map(|i| i * (ones / 64) - 1).collect();
-    let indexed_select_ns = time_ns(200, || {
+    let indexed_select_ns = time_ns(5, 200, || {
         ks.iter().map(|&k| idx.select(&bm, k).unwrap()).sum()
     });
-    let scan_select_ns = time_ns(3, || {
+    let scan_select_ns = time_ns(5, 3, || {
         ks.iter().map(|&k| bm.iter_ones().nth(k).unwrap()).sum()
     });
 
@@ -69,7 +53,7 @@ fn main() {
     );
     let bpl = sm.blocks_per_line();
     let rows: Vec<usize> = (0..16).map(|i| (i * 509) % 4096).collect();
-    let seek_directory_ns = time_ns(50, || {
+    let seek_directory_ns = time_ns(5, 50, || {
         rows.iter()
             .map(|&r| {
                 // O(levels) seek, then a top-down walk of just that row.
@@ -79,7 +63,7 @@ fn main() {
             })
             .sum()
     });
-    let seek_expand_ns = time_ns(2, || {
+    let seek_expand_ns = time_ns(5, 2, || {
         rows.iter()
             .map(|&r| {
                 let full = sm.full_bitmap0();
@@ -126,7 +110,7 @@ fn main() {
     let x = test_vector(sm.cols());
     let mut y = vec![0.0f64; sm.rows()];
     let pool = ThreadPool::new(4);
-    let spmv_ns = time_ns(10, || {
+    let spmv_ns = time_ns(5, 10, || {
         par_spmv_rows(&pool, &sm, &x, &mut y);
         y.len()
     });

@@ -16,27 +16,9 @@
 //! `Csr::spmm_inner` oracle exactly — the determinism guarantee the
 //! speedup must never trade away.
 
-use smash_kernels::{native, spgemm};
+use smash_bench::zoo::time_ns;
+use smash_kernels::{native, Executor};
 use smash_matrix::{generators, Csr};
-use smash_parallel::ThreadPool;
-use std::time::Instant;
-
-/// Median-of-5 wall-clock nanoseconds for `f`, amortized over `reps`
-/// inner repetitions.
-fn time_ns<F: FnMut() -> usize>(reps: usize, mut f: F) -> f64 {
-    let mut samples = Vec::with_capacity(5);
-    let mut sink = 0usize;
-    for _ in 0..5 {
-        let t = Instant::now();
-        for _ in 0..reps {
-            sink = sink.wrapping_add(f());
-        }
-        samples.push(t.elapsed().as_nanos() as f64 / reps as f64);
-    }
-    std::hint::black_box(sink);
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[2]
-}
 
 fn zoo() -> Vec<(String, Csr<f64>)> {
     [
@@ -59,7 +41,7 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_spgemm.json".into());
-    let pool = ThreadPool::new(4);
+    let (serial_exec, par4) = (Executor::serial(), Executor::with_threads(4));
 
     let mut rows_json = Vec::new();
     let mut min_speedup = f64::INFINITY;
@@ -70,9 +52,9 @@ fn main() {
 
         // Determinism re-check on real data: parallel == serial == oracle,
         // triplet-exact.
-        let serial = spgemm::spgemm(&a, &a);
+        let serial = serial_exec.spgemm(&a, &a);
         assert_eq!(
-            spgemm::par_spgemm(&pool, &a, &a),
+            par4.spgemm(&a, &a),
             serial,
             "parallel Gustavson diverged from serial on {label}"
         );
@@ -82,11 +64,11 @@ fn main() {
             "Gustavson diverged from the inner-product oracle on {label}"
         );
 
-        let gustavson_ns = time_ns(3, || spgemm::spgemm(&a, &a).nnz());
-        let gustavson_par_ns = time_ns(3, || spgemm::par_spgemm(&pool, &a, &a).nnz());
-        let csr_opt_ns = time_ns(3, || native::spmm_csr_opt(&a, &a_csc).nnz());
-        let aat_gustavson_ns = time_ns(3, || spgemm::spgemm(&a, &at).nnz());
-        let aat_csr_opt_ns = time_ns(3, || native::spmm_csr_opt(&a, &at_csc).nnz());
+        let gustavson_ns = time_ns(5, 3, || serial_exec.spgemm(&a, &a).nnz());
+        let gustavson_par_ns = time_ns(5, 3, || par4.spgemm(&a, &a).nnz());
+        let csr_opt_ns = time_ns(5, 3, || native::spmm_csr_opt(&a, &a_csc).nnz());
+        let aat_gustavson_ns = time_ns(5, 3, || serial_exec.spgemm(&a, &at).nnz());
+        let aat_csr_opt_ns = time_ns(5, 3, || native::spmm_csr_opt(&a, &at_csc).nnz());
 
         let speedup = csr_opt_ns / gustavson_ns;
         min_speedup = min_speedup.min(speedup);

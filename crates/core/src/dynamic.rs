@@ -25,7 +25,8 @@
 //!
 //! See `docs/DYNAMIC.md` for the tier model and the full contracts.
 
-use crate::{block_axpy_dense, block_dot, for_each_line_block, Layout, SmashConfig, SmashMatrix};
+use crate::smash_matrix::for_each_line_block;
+use crate::{block_axpy_dense, block_dot, Layout, SmashConfig, SmashMatrix};
 use smash_matrix::{for_each_rhs_tile, Csr, CsrBuilder, Dense, RowRead, Scalar};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -433,10 +434,10 @@ impl<T: Scalar> DynamicMatrix<T> {
     }
 
     /// [`compact`](Self::compact) with an injected CSR → SMASH encoder,
-    /// so callers holding a thread pool can compact through the parallel
-    /// encoder (`smash_parallel::par_csr_to_smash`), which is `==` to the
-    /// serial one at every thread count. The closure is only invoked for
-    /// a SMASH base.
+    /// so an executor can compact through its planned encoder
+    /// (`Executor::compact` passes `Executor::encode`), whose result is
+    /// `==` to the serial one whichever path runs. The closure is only
+    /// invoked for a SMASH base.
     pub fn compact_with(&mut self, encode: impl FnOnce(&Csr<T>, SmashConfig) -> SmashMatrix<T>) {
         if self.overlay.is_empty() {
             return;

@@ -7,10 +7,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// entries; `block` is a caller-provided scratch buffer of length `b0`
 /// whose contents are the zero-padded block at each invocation.
 ///
-/// Both the serial encoder ([`SmashMatrix::encode`]) and the parallel one
-/// (`smash_parallel::par_csr_to_smash`) build their NZA through this single
-/// routine — sharing it is what keeps the two bit-identical.
-pub fn for_each_line_block<T: Scalar>(
+/// The serial encoder ([`SmashMatrix::encode`]) and the line builder
+/// [`BitBlocks`] behind every on-the-fly producer block their lines
+/// through this single routine — sharing it is what keeps them
+/// bit-identical.
+pub(crate) fn for_each_line_block<T: Scalar>(
     offsets: &[u32],
     values: &[T],
     block: &mut [T],
@@ -29,6 +30,50 @@ pub fn for_each_line_block<T: Scalar>(
             k += 1;
         }
         f(blk, block);
+    }
+}
+
+/// One contiguous line range's share of a SMASH encoding, built a line at
+/// a time: the logical Bitmap-0 index of each occupied block and its
+/// zero-padded values, both in bit order — the part
+/// [`SmashMatrix::from_bit_blocks`] assembles. The parallel encoder
+/// (`smash_parallel::par_csr_to_smash`) and the SpGEMM engine's
+/// direct-to-SMASH emission both build their parts here, blocking each
+/// line exactly as [`SmashMatrix::encode`] does, so the assembled matrix
+/// is `==` to encoding the equivalent CSR.
+#[derive(Debug)]
+pub struct BitBlocks<T> {
+    bits: Vec<usize>,
+    vals: Vec<T>,
+    block: Vec<T>,
+    blocks_per_line: usize,
+}
+
+impl<T: Scalar> BitBlocks<T> {
+    /// An empty part for `b0`-element blocks, `blocks_per_line` to a line.
+    pub fn new(b0: usize, blocks_per_line: usize) -> Self {
+        BitBlocks {
+            bits: Vec::new(),
+            vals: Vec::new(),
+            block: vec![T::ZERO; b0],
+            blocks_per_line,
+        }
+    }
+
+    /// Appends the occupied blocks of line `line`, whose sorted entries are
+    /// `offsets`/`values`. Lines must arrive in ascending order.
+    pub fn push_line(&mut self, line: usize, offsets: &[u32], values: &[T]) {
+        let base = line * self.blocks_per_line;
+        let (bits, vals) = (&mut self.bits, &mut self.vals);
+        for_each_line_block(offsets, values, &mut self.block, |blk, block| {
+            bits.push(base + blk);
+            vals.extend_from_slice(block);
+        });
+    }
+
+    /// The `(bit indices, padded block values)` part.
+    pub fn finish(self) -> (Vec<usize>, Vec<T>) {
+        (self.bits, self.vals)
     }
 }
 
@@ -195,7 +240,7 @@ impl<T: Scalar> SmashMatrix<T> {
 
         // Pass 2: fill the NZA in bit order (which is line order, then block
         // order within the line), through the per-line routine shared with
-        // the parallel encoder.
+        // `BitBlocks`.
         let mut nza = Nza::new(b0);
         let mut block = vec![T::ZERO; b0];
         for line in 0..lines {
@@ -314,11 +359,10 @@ impl<T: Scalar> SmashMatrix<T> {
     /// each part holds one contiguous line range's `(bit, block)` stream,
     /// and concatenating the parts in order yields the whole matrix.
     ///
-    /// Both the parallel encoder (`smash_parallel::par_csr_to_smash`) and
-    /// the SpGEMM engine's direct-to-SMASH emission
-    /// (`smash_kernels::spgemm`) assemble through this single routine, so
-    /// a matrix built from parts is `==` to one built by
-    /// [`SmashMatrix::encode`] from the equivalent CSR.
+    /// Every on-the-fly producer builds its parts with [`BitBlocks`] and
+    /// assembles through this single routine, so a matrix built from parts
+    /// is `==` to one built by [`SmashMatrix::encode`] from the equivalent
+    /// CSR.
     ///
     /// # Errors
     ///

@@ -9,11 +9,13 @@
 //! (`smash_parallel::par_spmv_rows` / `par_spmm_dense_rows`); there is no
 //! per-format kernel function to pick.
 //!
-//! Each operation has **one body**, its `try_*` call: validation, the
-//! [`Plan`], the serial/parallel choice and the degradation ladder live
-//! there. The panicking calls (`spmv`, `spmm_dense`, `spgemm`,
-//! `spgemm_masked`, `encode`) unwrap it and panic with the typed [`SmashError`]'s message, so the two
-//! tiers cannot drift apart.
+//! Each operation has **one body**: validation, the [`Plan`], the
+//! serial/parallel choice and the degradation ladder live there. For
+//! `spmv`, `spmm_dense`, `spgemm`, `spgemm_masked` and `encode` that body
+//! is the `try_*` call, which the panicking call unwraps, panicking with
+//! the typed [`SmashError`]'s message, so the two tiers cannot drift
+//! apart. `spgemm_smash` and `spmm_smash` have no `try_*` twin; they run
+//! the same validation, plan and ladder and panic on the error.
 //!
 //! Three [`ExecMode`]s exist:
 //!
@@ -57,11 +59,12 @@
 //! ```
 
 use crate::error::{panic_detail, SmashError};
-use crate::native;
+use crate::operand::check_smash_spmm_operands;
 pub use crate::operand::SpmvOperand;
 use crate::planner::{Format, MatrixProfile, Op, Plan, PlanRequest, Planner};
+use crate::spgemm;
 use smash_core::{DynamicMatrix, Layout, SmashConfig, SmashMatrix};
-use smash_matrix::{spmm_dense_rows, spmv_rows, Coo, Csc, Csr, Dense, Scalar};
+use smash_matrix::{spmm_dense_rows, spmv_rows, Coo, Csr, Dense, Scalar};
 use smash_parallel::{
     default_threads, par_csr_to_smash, par_spmm_dense_rows, par_spmv_rows, threads_from_env,
     ThreadPool,
@@ -100,9 +103,8 @@ pub enum ExecMode {
 /// Two flavours: [`reject_over`](Self::reject_over) fails an over-budget
 /// product with [`SmashError::ResourceExhausted`];
 /// [`degrade_over`](Self::degrade_over) instead re-plans it as a serial
-/// row-chunked streaming run ([`crate::spgemm::spgemm_chunked`]) whose
-/// peak scratch stays within the cap — bit-identical output, reported in
-/// the [`ExecReport`].
+/// row-chunked streaming run whose peak scratch stays within the cap —
+/// bit-identical output, reported in the [`ExecReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryBudget {
     bytes: u64,
@@ -150,8 +152,8 @@ pub enum NonFinitePolicy {
     Propagate,
     /// Every call scans operand values up front and fails with
     /// [`SmashError::NonFinite`] (`try_*`) or panics with its message
-    /// (`spmv`, `spmm_dense`, `spgemm`, `spgemm_masked`, `encode`)
-    /// before running any kernel.
+    /// (`spmv`, `spmm_dense`, `spgemm`, `spgemm_masked`, `spgemm_smash`,
+    /// `spmm_smash`, `encode`) before running any kernel.
     Reject,
 }
 
@@ -495,7 +497,7 @@ impl Executor {
             Format::Csr,
             1,
             || MatrixProfile::of_csr(a),
-            || Some(crate::spgemm::stored_work(a, b)),
+            || Some(spgemm::stored_work(a, b)),
         )
     }
 
@@ -663,73 +665,77 @@ impl Executor {
     /// Sparse × sparse multiply emitted straight into the SMASH encoding
     /// (compress-on-the-fly): `==` to compressing
     /// [`Executor::spgemm`]'s result with `SmashMatrix::encode`, without
-    /// materializing the intermediate CSR. Serial/parallel dispatch as in
-    /// [`Executor::spgemm`].
+    /// materializing the intermediate CSR. Validation, plan and
+    /// degradation ladder as in [`Executor::try_spgemm`]; no
+    /// [`MemoryBudget`] applies.
     ///
     /// # Panics
     ///
-    /// Panics if `a.cols() != b.rows()` or `config` is not row-major.
+    /// Panics if `config` is not row-major, or with the [`SmashError`]
+    /// message of a failed validation — e.g. `"spgemm_smash: dimension
+    /// mismatch …"` if `a.cols() != b.rows()`.
+    #[track_caller]
     pub fn spgemm_smash<T: Scalar>(
         &self,
         a: &Csr<T>,
         b: &Csr<T>,
         config: SmashConfig,
     ) -> SmashMatrix<T> {
-        let (bounds, work) = crate::spgemm::symbolic_bounds(a, b);
-        let plan = self.make_plan(
-            Op::Spgemm,
-            Format::Csr,
-            1,
-            || MatrixProfile::of_csr(a),
-            || Some(work),
-        );
-        if plan.choice.parallel() {
-            crate::spgemm::par_spgemm_smash_bounded(self.pool(), a, b, &bounds, config)
-        } else {
-            crate::spgemm::spgemm_smash_bounded(a, b, &bounds, config)
-        }
-    }
-
-    /// Inner-product sparse matrix-matrix multiply `C = A * B` with `B` in
-    /// CSC form, backed by the Gustavson engine ([`Executor::spgemm`])
-    /// since the two produce identical triplet lists — the engine's
-    /// ascending-`k` `mul_add` fold is exactly the inner-product merge's.
-    /// Serial or parallel per the executor's mode; identical output
-    /// either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.cols() != b.rows()`.
-    pub fn spmm<T: Scalar>(&self, a: &Csr<T>, b: &Csc<T>) -> Coo<T> {
-        assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-        self.spgemm(a, &b.to_csr()).to_coo()
+        const OP: &str = "spgemm_smash";
+        assert_eq!(config.layout(), Layout::RowMajor, "emission is row-major");
+        let run = || {
+            let (bounds, mut report) = self.spgemm_prelude(OP, a, b, None)?;
+            self.ladder(
+                OP,
+                &mut report,
+                &mut (),
+                |pool, _| spgemm::spgemm_smash(Some(pool), a, b, &bounds, config.clone()),
+                |_| spgemm::spgemm_smash(None, a, b, &bounds, config.clone()),
+            )
+        };
+        or_panic(run())
     }
 
     /// Block-granular SMASH SpMM (`A` row-major × `B` column-major, both
-    /// 1-level), serial or row-parallel per the executor's plan — under
-    /// `Auto` the planner's threshold tier weighs the two operands'
-    /// stored values. The parallel variant runs the serial per-row merge
-    /// body over disjoint row ranges, so every mode returns the identical
-    /// triplet list.
+    /// 1-level). Both operands are validated (cached structural check plus
+    /// the [`NonFinitePolicy`] scan of their NZAs), then the call runs
+    /// serial or row-parallel per the executor's plan down the degradation
+    /// ladder — under `Auto` the planner's threshold tier weighs the two
+    /// operands' stored values. Every path runs the serial per-row merge
+    /// body, so every mode returns the identical triplet list.
     ///
     /// # Panics
     ///
     /// Panics if the operands are not 1-level row-major/col-major with
-    /// matching block sizes, or dimensions disagree.
+    /// matching block sizes, or dimensions disagree; otherwise with the
+    /// [`SmashError`] message of a failed validation.
+    #[track_caller]
     pub fn spmm_smash<T: Scalar>(&self, a: &SmashMatrix<T>, b: &SmashMatrix<T>) -> Coo<T> {
+        const OP: &str = "spmm_smash";
         assert_eq!(a.config().layout(), Layout::RowMajor, "A must be row-major");
-        let plan = self.make_plan(
-            Op::Spgemm,
-            Format::Smash,
-            1,
-            || MatrixProfile::of_smash(a),
-            || Some((a.nza().len() + b.nza().len()) as u64),
-        );
-        if plan.choice.parallel() {
-            crate::spgemm::par_spmm_smash(self.pool(), a, b)
-        } else {
-            native::spmm_smash(a, b)
-        }
+        check_smash_spmm_operands(a, b);
+        let run = || {
+            a.validate().map_err(SmashError::Encoding)?;
+            b.validate().map_err(SmashError::Encoding)?;
+            self.check_finite(OP, "A", a.nza().values())?;
+            self.check_finite(OP, "B", b.nza().values())?;
+            let plan = self.make_plan(
+                Op::Spgemm,
+                Format::Smash,
+                1,
+                || MatrixProfile::of_smash(a),
+                || Some((a.nza().len() + b.nza().len()) as u64),
+            );
+            let mut report = self.start_report(plan);
+            self.ladder(
+                OP,
+                &mut report,
+                &mut (),
+                |pool, _| spgemm::spmm_smash(Some(pool), a, b),
+                |_| spgemm::spmm_smash(None, a, b),
+            )
+        };
+        or_panic(run())
     }
 
     /// Compresses a CSR matrix into the SMASH encoding, in parallel when
@@ -974,7 +980,7 @@ impl Executor {
     /// behind [`Executor::spgemm_masked`]: [`Executor::try_spgemm`]'s
     /// validation, plan, budget and ladder, with the Gustavson rows
     /// accumulating only at `mask`'s stored positions (see the
-    /// [`spgemm`](crate::spgemm) module docs). The mask's structure is
+    /// [`spgemm`] module docs). The mask's structure is
     /// validated; its values are ignored.
     ///
     /// # Errors
@@ -1001,6 +1007,47 @@ impl Executor {
         b: &Csr<T>,
         mask: Option<&Csr<T>>,
     ) -> Result<(Csr<T>, ExecReport), SmashError> {
+        let (bounds, mut report) = self.spgemm_prelude(op, a, b, mask)?;
+        if let Some(budget) = self.budget {
+            let needed = spgemm::estimate_engine_bytes(&bounds, mask, b.cols());
+            if needed > budget.bytes() || Self::budget_fault_injected() {
+                if !budget.degrades() {
+                    return Err(SmashError::ResourceExhausted {
+                        needed,
+                        budget: budget.bytes(),
+                    });
+                }
+                let (c, run) = spgemm::spgemm_chunked(a, b, mask, &bounds, budget.bytes())?;
+                report.note(Degradation::ChunkedSpgemm {
+                    chunks: run.chunks,
+                    peak_scratch_bytes: run.peak_scratch_bytes,
+                    budget_bytes: run.budget_bytes,
+                });
+                return Ok((c, report));
+            }
+        }
+        let c = self.ladder(
+            op,
+            &mut report,
+            &mut (),
+            |pool, _| spgemm::spgemm(Some(pool), a, b, mask, &bounds),
+            |_| spgemm::spgemm(None, a, b, mask, &bounds),
+        )?;
+        Ok((c, report))
+    }
+
+    /// The validation prefix every Gustavson product shares: dimensions,
+    /// cached structural checks of `a`, `b` and the optional `mask` (whose
+    /// values are never read), the [`NonFinitePolicy`] scan of `a` and
+    /// `b`, then one symbolic pass whose stored work feeds the plan. Returns
+    /// the per-row bounds and the report started on that plan.
+    fn spgemm_prelude<T: Scalar>(
+        &self,
+        op: &'static str,
+        a: &Csr<T>,
+        b: &Csr<T>,
+        mask: Option<&Csr<T>>,
+    ) -> Result<(Vec<u64>, ExecReport), SmashError> {
         if a.cols() != b.rows() {
             return Err(SmashError::DimensionMismatch {
                 op,
@@ -1022,7 +1069,7 @@ impl Executor {
         SpmvOperand::Csr(b).check(op)?;
         self.check_finite(op, "A", a.values())?;
         self.check_finite(op, "B", b.values())?;
-        let (bounds, work) = crate::spgemm::symbolic_bounds(a, b);
+        let (bounds, work) = spgemm::symbolic_bounds(a, b);
         let plan = self.make_plan(
             Op::Spgemm,
             Format::Csr,
@@ -1030,33 +1077,7 @@ impl Executor {
             || MatrixProfile::of_csr(a),
             || Some(work),
         );
-        let mut report = self.start_report(plan);
-        if let Some(budget) = self.budget {
-            let needed = crate::spgemm::estimate_engine_bytes(&bounds, mask, b.cols());
-            if needed > budget.bytes() || Self::budget_fault_injected() {
-                if !budget.degrades() {
-                    return Err(SmashError::ResourceExhausted {
-                        needed,
-                        budget: budget.bytes(),
-                    });
-                }
-                let (c, run) = crate::spgemm::spgemm_chunked(a, b, mask, &bounds, budget.bytes())?;
-                report.note(Degradation::ChunkedSpgemm {
-                    chunks: run.chunks,
-                    peak_scratch_bytes: run.peak_scratch_bytes,
-                    budget_bytes: run.budget_bytes,
-                });
-                return Ok((c, report));
-            }
-        }
-        let c = self.ladder(
-            op,
-            &mut report,
-            &mut (),
-            |pool, _| crate::spgemm::par_spgemm_bounded(pool, a, b, mask, &bounds),
-            |_| crate::spgemm::spgemm_bounded(a, b, mask, &bounds),
-        )?;
-        Ok((c, report))
+        Ok((bounds, self.start_report(plan)))
     }
 
     /// CSR → SMASH compression, the one body behind
@@ -1124,6 +1145,7 @@ mod tests {
     use super::*;
     use crate::common::test_vector;
     use crate::error::panic_detail;
+    use crate::native;
     use smash_matrix::{generators, Bcsr};
 
     fn modes() -> Vec<(&'static str, Executor)> {
@@ -1275,6 +1297,10 @@ mod tests {
         });
         assert!(msg.starts_with("spgemm: dimension mismatch"), "{msg}");
         let msg = message(&|| {
+            exec.spgemm_smash(&a, &generators::uniform(7, 7, 10, 2), cfg.clone());
+        });
+        assert!(msg.starts_with("spgemm_smash: dimension mismatch"), "{msg}");
+        let msg = message(&|| {
             exec.spgemm_masked(&a, &a, &generators::uniform(128, 7, 10, 2));
         });
         assert!(
@@ -1300,6 +1326,43 @@ mod tests {
     }
 
     #[test]
+    fn smash_products_apply_the_non_finite_policy() {
+        let mut coo = Coo::<f64>::new(4, 4);
+        coo.push(0, 0, f64::NAN);
+        coo.push(1, 1, 2.0);
+        let a = Csr::from_coo(&coo);
+        let b = generators::uniform(4, 4, 6, 3);
+        let sa = SmashMatrix::encode(&a, SmashConfig::row_major(&[2]).unwrap());
+        let sb = SmashMatrix::encode(&b, SmashConfig::col_major(&[2]).unwrap());
+        let cfg = SmashConfig::row_major(&[2]).unwrap();
+        for (mode, exec) in modes() {
+            let reject = exec.with_non_finite_policy(NonFinitePolicy::Reject);
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                reject.spgemm_smash(&a, &b, cfg.clone());
+            }))
+            .unwrap_err();
+            let msg = panic_detail(payload.as_ref());
+            assert_eq!(
+                msg, "spgemm_smash: operand A holds a NaN or infinity",
+                "{mode}"
+            );
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                reject.spmm_smash(&sa, &sb);
+            }))
+            .unwrap_err();
+            let msg = panic_detail(payload.as_ref());
+            assert_eq!(
+                msg, "spmm_smash: operand A holds a NaN or infinity",
+                "{mode}"
+            );
+        }
+        // The default policy lets IEEE semantics flow through.
+        assert!(Executor::serial().spgemm_smash(&a, &b, cfg).nnz() > 0);
+        let c = Executor::serial().spmm_smash(&sa, &sb);
+        assert_eq!((c.rows(), c.cols()), (4, 4));
+    }
+
+    #[test]
     fn serial_mode_reports_one_thread() {
         assert_eq!(Executor::serial().threads(), 1);
         assert_eq!(Executor::serial().mode(), ExecMode::Serial);
@@ -1309,10 +1372,14 @@ mod tests {
     #[test]
     fn spmm_modes_agree() {
         let a = generators::uniform(96, 80, 6_000, 7);
-        let b = generators::uniform(80, 64, 4_000, 8).to_csc();
-        let want = native::spmm_csr(&a, &b);
+        let b = generators::uniform(80, 64, 4_000, 8);
+        let want = native::spmm_csr(&a, &b.to_csc());
         for (mode, exec) in modes() {
-            assert_eq!(exec.spmm(&a, &b).entries(), want.entries(), "{mode}");
+            assert_eq!(
+                exec.spgemm(&a, &b).to_coo().entries(),
+                want.entries(),
+                "{mode}"
+            );
         }
     }
 

@@ -9,13 +9,17 @@
 //!   more software tuning),
 //! * [`spmm_bcsr`] — blocked (TACO-BCSR stand-in),
 //! * [`spmm_smash`] — Software-only SMASH: block-granular index matching
-//!   over the two bitmaps, dense multiply per match,
+//!   over the two bitmaps, dense multiply per match — the serial run of
+//!   the engine [`Executor::spmm_smash`](crate::Executor::spmm_smash)
+//!   plans and may run on its pool,
 //!
 //! plus the sparse + sparse [`spadd`]. Sparse × dense products (SpMV and
 //! the batched SpMM) have no per-format function: every format runs the
 //! generic drivers `smash_matrix::spmv_rows` / `spmm_dense_rows` (serial)
 //! and `smash_parallel::par_spmv_rows` / `par_spmm_dense_rows` over its
-//! `RowRead` view, normally through [`Executor`](crate::Executor).
+//! `RowRead` view, normally through [`Executor`](crate::Executor). The
+//! Gustavson CSR products have no free function either: they run through
+//! [`Executor::spgemm`](crate::Executor::spgemm) and its siblings.
 //!
 //! Every kernel is generic over [`Scalar`], so the same loop bodies serve
 //! `f64` and `f32` (and any future precision). The hot reductions all run
@@ -38,7 +42,6 @@
 //! lists (`tests/spgemm.rs` pins this with adversarial cancelling
 //! inputs).
 
-use crate::operand::{check_smash_spmm_operands, spmm_smash_row, SmashMergeOperand};
 use smash_core::SmashMatrix;
 use smash_matrix::{Bcsr, Coo, Csc, Csr, CsrBuilder, Scalar};
 
@@ -175,22 +178,15 @@ pub fn spmm_bcsr<T: Scalar>(a: &Bcsr<T>, bt: &Bcsr<T>) -> Coo<T> {
 }
 
 /// Software-only SMASH SpMM: block-granular index matching over the two
-/// bitmaps (`A` row-major, `B` column-major), dense multiply per match.
+/// bitmaps (`A` row-major, `B` column-major), dense multiply per match —
+/// the SpMM engine run serially, with no plan or validation in front.
 ///
 /// # Panics
 ///
 /// Panics if the operands are not 1-level row-major/col-major with matching
 /// block sizes, or dimensions disagree.
 pub fn spmm_smash<T: Scalar>(a: &SmashMatrix<T>, b: &SmashMatrix<T>) -> Coo<T> {
-    check_smash_spmm_operands(a, b);
-    let a_op = SmashMergeOperand::new(a);
-    let b_op = SmashMergeOperand::new(b);
-    let mut c = Coo::new(a.rows(), b.cols());
-    for i in 0..a.rows() {
-        spmm_smash_row(i, &a_op, &b_op, |j, v| c.push(i, j, v));
-    }
-    c.compress();
-    c
+    crate::spgemm::spmm_smash(None, a, b)
 }
 
 /// First-class native sparse + sparse addition `C = A + B`, both operands

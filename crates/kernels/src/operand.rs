@@ -223,10 +223,9 @@ pub(crate) fn check_smash_spmm_operands<T: Scalar>(a: &SmashMatrix<T>, b: &Smash
 /// O(nnz blocks + lines) auxiliary memory, never the O(dense) full
 /// Bitmap-0 expansion.
 ///
-/// Shared between the serial `spmm_smash` loop and the row-parallel variant
-/// in the SpGEMM engine so that both run the identical per-row arithmetic;
-/// the instrumented SMASH SpMMs (`spmm_sw_smash`, `spmm_hw_smash`) take
-/// their per-line block lists from it too.
+/// Read by the SpGEMM module's SMASH × SMASH engine (`spgemm::spmm_smash`,
+/// serial or on a pool); the instrumented SMASH SpMMs (`spmm_sw_smash`,
+/// `spmm_hw_smash`) take their per-line block lists from it too.
 pub(crate) struct SmashMergeOperand<'a, T> {
     offs: Vec<u32>,
     starts: &'a [u32],
@@ -261,9 +260,9 @@ impl<'a, T: Scalar> SmashMergeOperand<'a, T> {
 /// structural hit whose accumulated dot is non-zero (the cancellation policy
 /// documented in the native-kernel module docs).
 ///
-/// This is the exact per-row body of `spmm_smash`; the parallel variant
-/// dispatches disjoint row ranges to it, so outputs are bit-identical to the
-/// serial kernel at any thread count.
+/// This is the exact per-row body of the SMASH × SMASH engine, which runs
+/// it over one range serially or over disjoint row ranges on a pool, so
+/// outputs are bit-identical at any thread count.
 pub(crate) fn spmm_smash_row<T: Scalar>(
     i: usize,
     a: &SmashMergeOperand<'_, T>,

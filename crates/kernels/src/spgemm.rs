@@ -15,7 +15,7 @@
 //!    hint and (summed) the stored-work estimate the executor's `Auto`
 //!    mode dispatches on.
 //! 2. **Numeric**: per row, scatter into one of two accumulators chosen
-//!    from `ub[i]` alone (see [`use_dense_accumulator`]):
+//!    from `ub[i]` alone (the engine's `use_dense_accumulator` rule):
 //!    * a **dense accumulator** — value array over all `b.cols()` columns
 //!      with epoch stamps (O(1) reset) and a touched-column list — when
 //!      the row bound is wide relative to the output width;
@@ -30,11 +30,15 @@
 //! `Csr::spmm_inner_row` performs per `(i, j)` — so the engine's output
 //! is `==` (triplet-exact, not approximately) to the inner-product
 //! oracle, and dense and hash rows are bit-identical to each other.
-//! The accumulator choice depends only on `(ub[i], b.cols())`, and the
-//! parallel driver hands **disjoint, contiguous** row ranges (balanced by
-//! the symbolic bounds through `partition_by_weight`) to workers that
-//! write pre-sized private chunks spliced back in row order — so output
-//! is bit-identical at every thread count.
+//! The accumulator choice depends only on `(ub[i], b.cols())`. Each engine
+//! is one function over an optional pool that fans out through
+//! `smash_parallel::for_each_range`: without a pool every row is one
+//! range run inline; with one, **disjoint, contiguous** row ranges
+//! (balanced by the symbolic bounds) run on the workers, and their
+//! private chunks splice back in row order — so output is bit-identical
+//! at every thread count. The executor reaches all of them through its
+//! degradation ladder: [`Executor::spgemm`](crate::Executor::spgemm),
+//! `spgemm_masked`, `spgemm_smash` and `spmm_smash`.
 //!
 //! # Cancellation policy
 //!
@@ -77,21 +81,21 @@
 
 use crate::error::SmashError;
 use crate::operand::{check_smash_spmm_operands, spmm_smash_row, SmashMergeOperand};
-use smash_core::{for_each_line_block, Layout, SmashConfig, SmashMatrix};
+use smash_core::{BitBlocks, Layout, SmashConfig, SmashMatrix};
 use smash_matrix::{Coo, Csr, CsrBuilder, Scalar};
-use smash_parallel::{partition_by_weight, ThreadPool};
+use smash_parallel::{for_each_range, ThreadPool};
 use std::ops::Range;
 
 /// Output widths up to this many columns always use the dense
 /// accumulator: the value/stamp arrays fit comfortably in cache, so the
 /// hash scratchpad's probing and drain-sort can't win.
-pub const DENSE_ACCUM_MIN_COLS: usize = 256;
+pub(crate) const DENSE_ACCUM_MIN_COLS: usize = 256;
 
 /// Above [`DENSE_ACCUM_MIN_COLS`], the dense accumulator is used when the
 /// row's nnz upper bound is at least `1/DENSE_ACCUM_FRACTION` of the
 /// output width — dense rows amortize the touched-list sort better than
 /// the hash map amortizes probing.
-pub const DENSE_ACCUM_FRACTION: u64 = 4;
+pub(crate) const DENSE_ACCUM_FRACTION: u64 = 4;
 
 /// Whether the numeric pass uses the dense accumulator (vs. the hash
 /// scratchpad) for a row whose symbolic upper bound is `ub`, writing into
@@ -99,7 +103,7 @@ pub const DENSE_ACCUM_FRACTION: u64 = 4;
 ///
 /// The choice is a pure function of `(ub, n)` — never of thread count or
 /// scheduling — which is one leg of the engine's determinism guarantee.
-pub fn use_dense_accumulator(ub: u64, n: usize) -> bool {
+pub(crate) fn use_dense_accumulator(ub: u64, n: usize) -> bool {
     n <= DENSE_ACCUM_MIN_COLS || ub.saturating_mul(DENSE_ACCUM_FRACTION) >= n as u64
 }
 
@@ -416,179 +420,83 @@ fn spgemm_chunk<T: Scalar>(
     chunk
 }
 
-/// Splices per-range chunks (in row order) into a CSR with exact
-/// allocation: the builder's arrays are sized to the true output nnz
-/// before the first entry lands.
-fn assemble<T: Scalar>(rows: usize, cols: usize, chunks: Vec<RowChunk<T>>) -> Csr<T> {
-    let nnz: usize = chunks.iter().map(|c| c.cols.len()).sum();
-    let mut builder = CsrBuilder::with_capacity(cols, rows, nnz);
+/// Gustavson SpGEMM `C = A · B` over symbolic `bounds` the caller already
+/// holds, emitted directly into CSR with exact allocation — all rows in
+/// one range without a `pool`, nnz-balanced contiguous row ranges on it
+/// with one, bit-identical either way. With a `mask` the output keeps only
+/// the mask's positions (see "Masked products" in the module docs), and is
+/// triplet-exact to the unmasked product filtered by its pattern.
+pub(crate) fn spgemm<T: Scalar>(
+    pool: Option<&ThreadPool>,
+    a: &Csr<T>,
+    b: &Csr<T>,
+    mask: Option<&Csr<T>>,
+    bounds: &[u64],
+) -> Csr<T> {
+    let mut chunks = Vec::new();
+    for_each_range(
+        pool,
+        a.rows(),
+        |i| bounds[i],
+        |rows| spgemm_chunk(a, b, mask, rows, bounds),
+        |chunk| chunks.push(chunk),
+    );
+    // Exact allocation: the builder's arrays are sized to the true output
+    // nnz before the first chunk is spliced in.
+    let nnz = chunks.iter().map(|c| c.cols.len()).sum();
+    let mut builder = CsrBuilder::with_capacity(b.cols(), a.rows(), nnz);
     for chunk in &chunks {
         builder.push_row_chunk(&chunk.counts, &chunk.cols, &chunk.vals);
     }
     builder.finish()
 }
 
-/// Serial Gustavson SpGEMM: `C = A · B`, both CSR, emitted directly into
-/// CSR. Triplet-exact to the `Csr::spmm_inner` oracle (see the
-/// [module docs](self)).
-///
-/// # Panics
-///
-/// Panics if `a.cols() != b.rows()`.
-pub fn spgemm<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Csr<T> {
-    spgemm_bounded(a, b, None, &symbolic_bounds(a, b).0)
-}
-
-/// [`spgemm`] over symbolic `bounds` the caller already holds, optionally
-/// masked: the output keeps only `mask`'s positions (see "Masked
-/// products" in the module docs).
-pub(crate) fn spgemm_bounded<T: Scalar>(
-    a: &Csr<T>,
-    b: &Csr<T>,
-    mask: Option<&Csr<T>>,
-    bounds: &[u64],
-) -> Csr<T> {
-    assemble(
-        a.rows(),
-        b.cols(),
-        vec![spgemm_chunk(a, b, mask, 0..a.rows(), bounds)],
-    )
-}
-
-/// Parallel Gustavson SpGEMM over nnz-balanced contiguous row ranges —
-/// bit-identical to [`spgemm`] at every thread count (workers run the
-/// identical per-row body over disjoint ranges; the main thread splices
-/// in row order).
-///
-/// # Panics
-///
-/// Panics if `a.cols() != b.rows()`.
-pub fn par_spgemm<T: Scalar>(pool: &ThreadPool, a: &Csr<T>, b: &Csr<T>) -> Csr<T> {
-    par_spgemm_bounded(pool, a, b, None, &symbolic_bounds(a, b).0)
-}
-
-/// [`par_spgemm`] over symbolic `bounds` the caller already holds,
-/// optionally masked as in [`spgemm_bounded`].
-pub(crate) fn par_spgemm_bounded<T: Scalar>(
-    pool: &ThreadPool,
-    a: &Csr<T>,
-    b: &Csr<T>,
-    mask: Option<&Csr<T>>,
-    bounds: &[u64],
-) -> Csr<T> {
-    let ranges = partition_by_weight(a.rows(), pool.threads(), |i| bounds[i]);
-    let mut chunks: Vec<RowChunk<T>> = Vec::new();
-    chunks.resize_with(ranges.len(), RowChunk::default);
-    pool.scoped(|s| {
-        for (range, slot) in ranges.iter().cloned().zip(chunks.iter_mut()) {
-            s.execute(move || *slot = spgemm_chunk(a, b, mask, range, bounds));
-        }
-    });
-    assemble(a.rows(), b.cols(), chunks)
-}
-
-/// Per-range SMASH emission: runs the numeric pass and folds each output
-/// row straight through the encoder's per-line block routine, producing
-/// the `(bit indices, padded block values)` part the shared assembly
-/// consumes.
-fn spgemm_smash_part<T: Scalar>(
-    a: &Csr<T>,
-    b: &Csr<T>,
-    rows: Range<usize>,
-    bounds: &[u64],
-    b0: usize,
-    bpl: usize,
-) -> (Vec<usize>, Vec<T>) {
-    let mut bits = Vec::new();
-    let mut nza = Vec::new();
-    let mut block = vec![T::ZERO; b0];
-    gustavson_rows(a, b, None, rows, bounds, |i, cols, vals| {
-        let base = i * bpl;
-        for_each_line_block(cols, vals, &mut block, |blk, block_vals| {
-            bits.push(base + blk);
-            nza.extend_from_slice(block_vals);
-        });
-    });
-    (bits, nza)
-}
-
 /// Gustavson SpGEMM emitting straight into the SMASH encoding
-/// (compress-on-the-fly): each output row is folded through the same
-/// per-line block routine the encoder uses, so the result is `==` to
-/// `SmashMatrix::encode(&spgemm(a, b), config)` without ever
-/// materializing the intermediate CSR.
-///
-/// # Panics
-///
-/// Panics if `a.cols() != b.rows()` or `config` is not row-major.
-pub fn spgemm_smash<T: Scalar>(a: &Csr<T>, b: &Csr<T>, config: SmashConfig) -> SmashMatrix<T> {
-    spgemm_smash_bounded(a, b, &symbolic_bounds(a, b).0, config)
-}
-
-/// [`spgemm_smash`] over symbolic `bounds` the caller already holds.
-pub(crate) fn spgemm_smash_bounded<T: Scalar>(
+/// (compress-on-the-fly): each output row is blocked into a [`BitBlocks`]
+/// part exactly as the encoder blocks a line, so the result is `==` to
+/// `SmashMatrix::encode` of [`spgemm`]'s CSR without ever materializing
+/// it. Pool use and row ranges as in [`spgemm`]; `config` must be
+/// row-major.
+pub(crate) fn spgemm_smash<T: Scalar>(
+    pool: Option<&ThreadPool>,
     a: &Csr<T>,
     b: &Csr<T>,
     bounds: &[u64],
     config: SmashConfig,
 ) -> SmashMatrix<T> {
-    assert_eq!(config.layout(), Layout::RowMajor, "emission is row-major");
+    debug_assert_eq!(config.layout(), Layout::RowMajor, "emission is row-major");
     let b0 = config.block_size();
     let bpl = b.cols().div_ceil(b0);
-    let part = spgemm_smash_part(a, b, 0..a.rows(), bounds, b0, bpl);
-    SmashMatrix::from_bit_blocks(a.rows(), b.cols(), config, &[part])
-        .expect("Gustavson emission preserves the encoder's invariants")
-}
-
-/// Parallel [`spgemm_smash`]: workers encode disjoint row ranges, the
-/// shared assembly splices them in line order — `==` to the serial
-/// emission at every thread count.
-///
-/// # Panics
-///
-/// Panics if `a.cols() != b.rows()` or `config` is not row-major.
-pub fn par_spgemm_smash<T: Scalar>(
-    pool: &ThreadPool,
-    a: &Csr<T>,
-    b: &Csr<T>,
-    config: SmashConfig,
-) -> SmashMatrix<T> {
-    par_spgemm_smash_bounded(pool, a, b, &symbolic_bounds(a, b).0, config)
-}
-
-/// [`par_spgemm_smash`] over symbolic `bounds` the caller already holds.
-pub(crate) fn par_spgemm_smash_bounded<T: Scalar>(
-    pool: &ThreadPool,
-    a: &Csr<T>,
-    b: &Csr<T>,
-    bounds: &[u64],
-    config: SmashConfig,
-) -> SmashMatrix<T> {
-    assert_eq!(config.layout(), Layout::RowMajor, "emission is row-major");
-    let b0 = config.block_size();
-    let bpl = b.cols().div_ceil(b0);
-    let ranges = partition_by_weight(a.rows(), pool.threads(), |i| bounds[i]);
-    let mut parts: Vec<(Vec<usize>, Vec<T>)> = vec![Default::default(); ranges.len()];
-    pool.scoped(|s| {
-        for (range, slot) in ranges.iter().cloned().zip(parts.iter_mut()) {
-            s.execute(move || *slot = spgemm_smash_part(a, b, range, bounds, b0, bpl));
-        }
-    });
+    let mut parts = Vec::new();
+    for_each_range(
+        pool,
+        a.rows(),
+        |i| bounds[i],
+        |rows| {
+            let mut part = BitBlocks::new(b0, bpl);
+            gustavson_rows(a, b, None, rows, bounds, |i, cols, vals| {
+                part.push_line(i, cols, vals)
+            });
+            part.finish()
+        },
+        |part| parts.push(part),
+    );
     SmashMatrix::from_bit_blocks(a.rows(), b.cols(), config, &parts)
         .expect("Gustavson emission preserves the encoder's invariants")
 }
 
-/// Row-parallel SMASH × SMASH SpMM, bit-identical to
-/// [`crate::native::spmm_smash`] at every thread count: each worker runs
-/// the serial per-row merge body over a disjoint row-line range (balanced
-/// by A's per-line block counts), and the triplets splice in row order.
+/// Block-granular SMASH × SMASH SpMM (`A` row-major, `B` column-major):
+/// each output row is the serial per-row merge body, over all rows in one
+/// range without a `pool` and over disjoint row-line ranges (balanced by
+/// A's per-line block counts) on it with one — so every run returns the
+/// identical triplet list.
 ///
 /// # Panics
 ///
-/// Panics if the operands are not 1-level row-major/col-major with
-/// matching block sizes, or dimensions disagree.
-pub fn par_spmm_smash<T: Scalar>(
-    pool: &ThreadPool,
+/// Panics if the operands are not row-major × column-major with matching
+/// block sizes, or dimensions disagree.
+pub(crate) fn spmm_smash<T: Scalar>(
+    pool: Option<&ThreadPool>,
     a: &SmashMatrix<T>,
     b: &SmashMatrix<T>,
 ) -> Coo<T> {
@@ -596,27 +504,30 @@ pub fn par_spmm_smash<T: Scalar>(
     let a_op = SmashMergeOperand::new(a);
     let b_op = SmashMergeOperand::new(b);
     let starts = a.line_block_starts();
-    let ranges = partition_by_weight(a.rows(), pool.threads(), |i| {
-        (starts[i + 1] - starts[i]) as u64
-    });
-    let mut chunks: Vec<Vec<(u32, u32, T)>> = vec![Vec::new(); ranges.len()];
-    pool.scoped(|s| {
-        for (range, slot) in ranges.iter().cloned().zip(chunks.iter_mut()) {
-            let (a_op, b_op) = (&a_op, &b_op);
-            s.execute(move || {
-                let mut out = Vec::new();
-                for i in range {
-                    spmm_smash_row(i, a_op, b_op, |j, v| out.push((i as u32, j as u32, v)));
+    let mut c: Option<Coo<T>> = None;
+    for_each_range(
+        pool,
+        a.rows(),
+        |i| (starts[i + 1] - starts[i]) as u64,
+        |rows| {
+            let mut part = Coo::new(a.rows(), b.cols());
+            for i in rows {
+                spmm_smash_row(i, &a_op, &b_op, |j, v| part.push(i, j, v));
+            }
+            part
+        },
+        // The first range's triplets are kept as they are; later ranges
+        // append in row order.
+        |part| match &mut c {
+            Some(c) => {
+                for &(i, j, v) in part.entries() {
+                    c.push(i as usize, j as usize, v);
                 }
-                *slot = out;
-            });
-        }
-    });
-    let nnz = chunks.iter().map(Vec::len).sum();
-    let mut c = Coo::with_capacity(a.rows(), b.cols(), nnz);
-    for (i, j, v) in chunks.into_iter().flatten() {
-        c.push(i as usize, j as usize, v);
-    }
+            }
+            None => c = Some(part),
+        },
+    );
+    let mut c = c.expect("every fan-out sinks at least one range");
     c.compress();
     c
 }
@@ -631,7 +542,7 @@ fn entry_bytes<T>() -> u64 {
 /// engine's own [`use_dense_accumulator`] choice for a row with symbolic
 /// bound `ub` writing into `n` output columns — a pure function of
 /// `(ub, n)`, exactly like the choice itself.
-pub fn row_scratch_bytes<T: Scalar>(ub: u64, n: usize) -> u64 {
+pub(crate) fn row_scratch_bytes<T: Scalar>(ub: u64, n: usize) -> u64 {
     let scalar = std::mem::size_of::<T>() as u64;
     if use_dense_accumulator(ub, n) {
         // DenseAcc: value + stamp per output column, plus the touched list
@@ -660,7 +571,7 @@ fn row_footprint<T: Scalar>(ub: u64, mask: Option<&Csr<T>>, i: usize, n: usize) 
 }
 
 /// Upper bound on the **transient engine memory** of an unchunked
-/// [`spgemm`] run over these symbolic `bounds` into `n` output columns,
+/// Gustavson run over these symbolic `bounds` into `n` output columns,
 /// optionally masked by `mask` (`mask.rows() == bounds.len()`): the
 /// staged `(column, value)` stream plus the splice into the builder
 /// (each at most `Σ ub` entries, or `Σ min(ub, nnz(mask[i,:]))` masked),
@@ -682,7 +593,7 @@ pub fn estimate_engine_bytes<T: Scalar>(bounds: &[u64], mask: Option<&Csr<T>>, n
 /// Accounting report of a [`spgemm_chunked`] run: how the row-streamed
 /// execution stayed inside its scratch budget.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkedRun {
+pub(crate) struct ChunkedRun {
     /// Number of row chunks the numeric pass was split into.
     pub chunks: usize,
     /// Peak transient scratch across all chunks (upper-bound accounting:
@@ -718,7 +629,7 @@ pub struct ChunkedRun {
 /// Panics if `a.cols() != b.rows()` or `bounds.len() != a.rows()`
 /// (callers obtain `bounds` from [`symbolic_bounds`]), or if `mask` is
 /// not `a.rows() × b.cols()`.
-pub fn spgemm_chunked<T: Scalar>(
+pub(crate) fn spgemm_chunked<T: Scalar>(
     a: &Csr<T>,
     b: &Csr<T>,
     mask: Option<&Csr<T>>,
@@ -787,20 +698,25 @@ mod tests {
         a.spmm_inner(&b.to_csc()).unwrap().entries().to_vec()
     }
 
+    /// The CSR engine over freshly computed bounds, unmasked.
+    fn product(pool: Option<&ThreadPool>, a: &Csr<f64>, b: &Csr<f64>) -> Csr<f64> {
+        spgemm(pool, a, b, None, &symbolic_bounds(a, b).0)
+    }
+
     #[test]
     fn serial_matches_inner_product_oracle_exactly() {
         let a = generators::power_law(96, 80, 1_500, 1.3, 3);
         let b = generators::clustered(80, 72, 1_200, 5, 4);
-        assert_eq!(spgemm(&a, &b).to_coo().entries(), oracle(&a, &b));
+        assert_eq!(product(None, &a, &b).to_coo().entries(), oracle(&a, &b));
     }
 
     #[test]
     fn parallel_is_bit_identical_to_serial() {
         let a = generators::power_law(200, 200, 6_000, 1.4, 11);
-        let want = spgemm(&a, &a);
+        let want = product(None, &a, &a);
         for threads in [1, 2, 3, 8] {
             let pool = ThreadPool::new(threads);
-            assert_eq!(par_spgemm(&pool, &a, &a), want, "threads={threads}");
+            assert_eq!(product(Some(&pool), &a, &a), want, "threads={threads}");
         }
     }
 
@@ -810,6 +726,19 @@ mod tests {
         assert!(use_dense_accumulator(1, DENSE_ACCUM_MIN_COLS));
         assert!(!use_dense_accumulator(10, 100_000));
         assert!(use_dense_accumulator(25_000, 100_000));
+        // Above the cache-resident width the row bound decides: a row of A
+        // touching every row of B goes dense, a one-entry row hashes.
+        let n = DENSE_ACCUM_MIN_COLS + 44;
+        let mut a = Coo::new(2, n);
+        for k in 0..n {
+            a.push(0, k, 1.0 + (k % 7) as f64);
+        }
+        a.push(1, 3, 2.0);
+        let a = Csr::from_coo(&a);
+        let b = generators::uniform(n, n, 6 * n, 5);
+        let (bounds, _) = symbolic_bounds(&a, &b);
+        assert!(use_dense_accumulator(bounds[0], b.cols()));
+        assert!(!use_dense_accumulator(bounds[1], b.cols()));
     }
 
     #[test]
@@ -827,13 +756,13 @@ mod tests {
     fn smash_emission_matches_encode_of_csr_product() {
         let a = generators::clustered(64, 64, 900, 4, 9);
         let cfg = SmashConfig::row_major(&[2, 4]).unwrap();
-        let c = spgemm(&a, &a);
-        let want = SmashMatrix::encode(&c, cfg.clone());
-        assert_eq!(spgemm_smash(&a, &a, cfg.clone()), want);
+        let bounds = symbolic_bounds(&a, &a).0;
+        let want = SmashMatrix::encode(&product(None, &a, &a), cfg.clone());
+        assert_eq!(spgemm_smash(None, &a, &a, &bounds, cfg.clone()), want);
         for threads in [2, 8] {
             let pool = ThreadPool::new(threads);
             assert_eq!(
-                par_spgemm_smash(&pool, &a, &a, cfg.clone()),
+                spgemm_smash(Some(&pool), &a, &a, &bounds, cfg.clone()),
                 want,
                 "threads={threads}"
             );
@@ -843,7 +772,7 @@ mod tests {
     #[test]
     fn chunked_run_is_bit_identical_and_respects_budget() {
         let a = generators::power_law(150, 150, 4_000, 1.3, 7);
-        let want = spgemm(&a, &a);
+        let want = product(None, &a, &a);
         let (bounds, _) = symbolic_bounds(&a, &a);
 
         // A budget covering the whole unchunked estimate: one chunk.
@@ -908,7 +837,7 @@ mod tests {
         for threads in [1, 2, 8] {
             let pool = ThreadPool::new(threads);
             assert_eq!(
-                par_spmm_smash(&pool, &sa, &sb).entries(),
+                spmm_smash(Some(&pool), &sa, &sb).entries(),
                 want.entries(),
                 "threads={threads}"
             );

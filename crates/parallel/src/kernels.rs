@@ -1,25 +1,101 @@
-//! Parallel drivers of the native hot paths.
+//! Parallel drivers of the native hot paths, and the one range fan-out
+//! every range-parallel engine runs on.
 //!
 //! Every kernel here is **bit-identical** to its serial counterpart — the
 //! generic drivers `smash_matrix::spmv_rows` / `spmm_dense_rows`, or
 //! `SmashMatrix::encode` for the compressor — at every thread count. Two
 //! properties make that hold:
 //!
-//! 1. the matrix is split into *contiguous* line ranges (see
-//!    [`partition_by_weight`](crate::partition_by_weight)), balanced by
+//! 1. the matrix is split into *contiguous* line ranges, balanced by
 //!    non-zero count, and each worker writes a disjoint slice of the
-//!    output, so no reduction across threads ever reorders floating-point
-//!    additions; and
+//!    output (or returns a part spliced back in range order), so no
+//!    reduction across threads ever reorders floating-point additions;
+//!    and
 //! 2. within a range, each line is computed by exactly the serial loop
 //!    body, in the serial order.
 //!
 //! The partition depends only on the matrix and the pool's thread count,
-//! never on scheduling, so repeated runs are deterministic too.
+//! never on scheduling, so repeated runs are deterministic too. The two
+//! helpers below are the only places a pool is entered: [`for_each_range`]
+//! for engines that return a part per range, and the private row-slab
+//! splitter for drivers that write a caller's output in place.
 
 use crate::partition::partition_by_weight;
 use crate::pool::ThreadPool;
-use smash_core::{for_each_line_block, Layout, SmashConfig, SmashMatrix};
+use smash_core::{BitBlocks, Layout, SmashConfig, SmashMatrix};
 use smash_matrix::{Csr, Dense, RowRead, Scalar};
+use std::ops::Range;
+
+/// Runs `body` over `0..n` and hands its results to `sink` in range order
+/// — the one fan-out of every range-parallel engine, where serial is the
+/// one-range case.
+///
+/// * `None`: `sink(body(0..n))`, inline on the calling thread; no pool is
+///   touched.
+/// * `Some(pool)`: `0..n` is split into at most `pool.threads()`
+///   contiguous, non-empty ranges balanced by `weight` (plus one per
+///   item, so zero-weight items still spread), `body` runs once per range
+///   as a pool job, and after every job has finished `sink` receives the
+///   results in range order. A panicking job re-raises on the caller once
+///   all jobs are done; `sink` then never runs.
+///
+/// The split depends only on `n`, `weight` and the thread count. So when
+/// `body` computes each item as the one-range run does and `sink`
+/// concatenates, the output is bit-identical with and without a pool.
+pub fn for_each_range<R: Send>(
+    pool: Option<&ThreadPool>,
+    n: usize,
+    weight: impl Fn(usize) -> u64,
+    body: impl Fn(Range<usize>) -> R + Sync,
+    mut sink: impl FnMut(R),
+) {
+    let Some(pool) = pool else {
+        sink(body(0..n));
+        return;
+    };
+    let ranges = partition_by_weight(n, pool.threads(), weight);
+    let mut parts: Vec<Option<R>> = ranges.iter().map(|_| None).collect();
+    pool.scoped(|s| {
+        for (range, slot) in ranges.into_iter().zip(parts.iter_mut()) {
+            let body = &body;
+            s.execute(move || *slot = Some(body(range)));
+        }
+    });
+    for part in parts {
+        sink(part.expect("the scope joined every range"));
+    }
+}
+
+/// Splits `out` — `stride` elements per row of `a` — into the row slabs of
+/// `a`'s weight-balanced granule ranges and runs `body(range, slab)` for
+/// each on the pool. Output rows past the last granule are zeroed.
+fn for_each_row_slab<T: Scalar, R: RowRead<T> + ?Sized>(
+    pool: &ThreadPool,
+    a: &R,
+    out: &mut [T],
+    stride: usize,
+    body: impl Fn(Range<usize>, &mut [T]) + Sync,
+) {
+    let ranges = partition_by_weight(a.granules(), pool.threads(), |g| a.granule_weight(g));
+    pool.scoped(|s| {
+        let mut rest = out;
+        let mut consumed = 0usize;
+        for range in ranges {
+            // Granule range [range.start, range.end) covers matrix rows
+            // [granule_row(range.start), granule_row(range.end)) — the
+            // last granule of a blocked format may be clipped.
+            let row_hi = a.granule_row(range.end);
+            let (slab, tail) = rest.split_at_mut((row_hi - consumed) * stride);
+            consumed = row_hi;
+            rest = tail;
+            let body = &body;
+            s.execute(move || body(range, slab));
+        }
+        // Rows beyond the last granule cannot exist for non-degenerate
+        // decompositions, but guard against an all-empty operand.
+        rest.fill(T::ZERO);
+    });
+}
 
 /// Parallel `y = A·x` over any [`RowRead`] operand — *the* parallel SpMV
 /// driver of the kernel stack, for every format.
@@ -43,24 +119,7 @@ pub fn par_spmv_rows<T: Scalar, R: RowRead<T> + ?Sized>(
 ) {
     assert_eq!(x.len(), a.cols(), "x length must equal matrix cols");
     assert_eq!(y.len(), a.rows(), "y length must equal matrix rows");
-    let ranges = partition_by_weight(a.granules(), pool.threads(), |g| a.granule_weight(g));
-    pool.scoped(|s| {
-        let mut rest = y;
-        let mut consumed = 0usize;
-        for range in ranges {
-            // Granule range [range.start, range.end) covers matrix rows
-            // [granule_row(range.start), granule_row(range.end)) — the
-            // last granule of a blocked format may be clipped.
-            let row_hi = a.granule_row(range.end);
-            let (chunk, tail) = rest.split_at_mut(row_hi - consumed);
-            consumed = row_hi;
-            rest = tail;
-            s.execute(move || a.spmv_granules(range, x, chunk));
-        }
-        // Rows beyond the last granule cannot exist for non-degenerate
-        // decompositions, but guard against an all-empty operand.
-        rest.fill(T::ZERO);
-    });
+    for_each_row_slab(pool, a, y, 1, |range, y| a.spmv_granules(range, x, y));
 }
 
 /// Parallel `C = A·B` (B dense) over any [`RowRead`] operand — the single
@@ -81,19 +140,8 @@ pub fn par_spmm_dense_rows<T: Scalar, R: RowRead<T> + ?Sized>(
     assert_eq!(b.rows(), a.cols(), "inner dimensions must agree");
     assert_eq!(c.rows(), a.rows(), "output rows must equal a.rows()");
     assert_eq!(c.cols(), b.cols(), "output cols must equal b.cols()");
-    let n = b.cols();
-    let ranges = partition_by_weight(a.granules(), pool.threads(), |g| a.granule_weight(g));
-    pool.scoped(|s| {
-        let mut rest = c.as_mut_slice();
-        let mut consumed = 0usize;
-        for range in ranges {
-            let row_hi = a.granule_row(range.end);
-            let (chunk, tail) = rest.split_at_mut((row_hi - consumed) * n);
-            consumed = row_hi;
-            rest = tail;
-            s.execute(move || a.spmm_dense_granules(range, b, chunk));
-        }
-        rest.fill(T::ZERO);
+    for_each_row_slab(pool, a, c.as_mut_slice(), b.cols(), |range, c| {
+        a.spmm_dense_granules(range, b, c)
     });
 }
 
@@ -101,9 +149,9 @@ pub fn par_spmm_dense_rows<T: Scalar, R: RowRead<T> + ?Sized>(
 /// `SmashMatrix::encode(a, config)` (same bitmap hierarchy, same NZA
 /// block order and padding) at any thread count.
 ///
-/// Workers discover the occupied blocks and materialize the NZA values
-/// for disjoint line ranges; the main thread splices the per-range
-/// results in line order and builds the upper bitmap levels once.
+/// Workers block disjoint line ranges into [`BitBlocks`] parts; the main
+/// thread splices the parts in line order and builds the upper bitmap
+/// levels once.
 pub fn par_csr_to_smash<T: Scalar>(
     pool: &ThreadPool,
     a: &Csr<T>,
@@ -138,34 +186,21 @@ where
         Layout::ColMajor => (cols, rows),
     };
     let bpl = line_len.div_ceil(b0);
-    let ranges = partition_by_weight(lines, pool.threads(), |l| line_entries(l).0.len() as u64);
-    // Per range: the logical Bitmap-0 indices of occupied blocks plus the
-    // flattened (zero-padded) block values, both in bit order.
-    let mut parts: Vec<(Vec<usize>, Vec<T>)> = vec![Default::default(); ranges.len()];
-    pool.scoped(|s| {
-        for (range, slot) in ranges.iter().cloned().zip(parts.iter_mut()) {
-            let line_entries = &line_entries;
-            s.execute(move || {
-                let mut bits = Vec::new();
-                let mut vals = Vec::new();
-                let mut block = vec![T::ZERO; b0];
-                for line in range {
-                    let (offsets, values) = line_entries(line);
-                    let base = line * bpl;
-                    // The same per-line routine the serial encoder uses —
-                    // sharing it keeps the two bit-identical.
-                    for_each_line_block(offsets, values, &mut block, |blk, block_vals| {
-                        bits.push(base + blk);
-                        vals.extend_from_slice(block_vals);
-                    });
-                }
-                *slot = (bits, vals);
-            });
-        }
-    });
-    // Bit order across the parts is line order, so one shared assembly
-    // routine (also used by the SpGEMM engine's direct-to-SMASH emission)
-    // builds the bitmap hierarchy and NZA.
+    let mut parts = Vec::new();
+    for_each_range(
+        Some(pool),
+        lines,
+        |l| line_entries(l).0.len() as u64,
+        |range| {
+            let mut part = BitBlocks::new(b0, bpl);
+            for line in range {
+                let (offsets, values) = line_entries(line);
+                part.push_line(line, offsets, values);
+            }
+            part.finish()
+        },
+        |part| parts.push(part),
+    );
     SmashMatrix::from_bit_blocks(rows, cols, config, &parts)
         .expect("parallel encoder preserves all invariants")
 }
@@ -181,6 +216,56 @@ mod tests {
 
     fn pools() -> Vec<ThreadPool> {
         [1, 2, 3, 8].map(ThreadPool::new).into_iter().collect()
+    }
+
+    #[test]
+    fn for_each_range_sinks_in_range_order_with_and_without_a_pool() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // Per item: a weight-skewed value; per range: its items in order.
+        let weight = |i: usize| (i as u64 * 7919) % 31;
+        let body = |r: Range<usize>| r.map(|i| i * i + 1).collect::<Vec<_>>();
+        for n in [0usize, 1, 5, 100] {
+            let calls = AtomicUsize::new(0);
+            let mut want = Vec::new();
+            let mut sinks = 0;
+            for_each_range(
+                None,
+                n,
+                weight,
+                |r| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    body(r)
+                },
+                |part| {
+                    sinks += 1;
+                    want.extend(part);
+                },
+            );
+            assert_eq!(calls.into_inner(), 1, "None runs body once, n = {n}");
+            assert_eq!(sinks, 1);
+            assert_eq!(want, body(0..n));
+            for pool in pools() {
+                let mut ranges = Vec::new();
+                for_each_range(
+                    Some(&pool),
+                    n,
+                    weight,
+                    |r| (r.clone(), body(r)),
+                    |p| ranges.push(p),
+                );
+                // Sinks arrive in range order, tiling 0..n contiguously…
+                let mut next = 0;
+                for (r, _) in &ranges {
+                    assert_eq!(r.start, next, "n = {n}, threads {}", pool.threads());
+                    next = r.end;
+                }
+                assert_eq!(next, n);
+                assert!(ranges.len() <= pool.threads());
+                // …and concatenate to the one-range result.
+                let got: Vec<usize> = ranges.into_iter().flat_map(|(_, v)| v).collect();
+                assert_eq!(got, want, "n = {n}, threads {}", pool.threads());
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! * [`ThreadPool`] — a from-scratch scoped pool (std threads + channels)
 //!   with clean shutdown, panic propagation and a `SMASH_THREADS`
 //!   environment override ([`default_threads`]);
-//! * [`partition_by_weight`] — deterministic, weight-balanced contiguous
-//!   range partitioning;
+//! * [`for_each_range`] — the one range fan-out of every range-parallel
+//!   engine: without a pool it runs the whole range inline, with one it
+//!   splits the range into deterministic, weight-balanced contiguous
+//!   parts and sinks their results in range order;
 //! * [`par_spmv_rows`], [`par_spmm_dense_rows`] — the parallel SpMV and
 //!   batched SpMM drivers over any `RowRead` operand (CSR, BCSR, SMASH,
 //!   dynamic), and [`par_csr_to_smash`], the parallel compressor — all
@@ -43,8 +45,7 @@ mod kernels;
 mod partition;
 mod pool;
 
-pub use kernels::{par_csr_to_smash, par_spmm_dense_rows, par_spmv_rows};
-pub use partition::partition_by_weight;
+pub use kernels::{for_each_range, par_csr_to_smash, par_spmm_dense_rows, par_spmv_rows};
 pub use pool::{
     default_threads, threads_from_env, Scope, ThreadPool, ThreadsEnvError, THREADS_ENV,
 };

@@ -19,14 +19,19 @@ use std::ops::Range;
 ///
 /// # Example
 ///
+/// The split as [`for_each_range`](crate::for_each_range) hands it out:
+///
 /// ```
-/// use smash_parallel::partition_by_weight;
+/// use smash_parallel::{for_each_range, ThreadPool};
 ///
 /// // Heavily skewed weights: the first range holds just the heavy item.
-/// let ranges = partition_by_weight(4, 2, |i| if i == 0 { 100 } else { 1 });
+/// let pool = ThreadPool::new(2);
+/// let mut ranges = Vec::new();
+/// let weight = |i| if i == 0 { 100 } else { 1 };
+/// for_each_range(Some(&pool), 4, weight, |r| r, |r| ranges.push(r));
 /// assert_eq!(ranges, vec![0..1, 1..4]);
 /// ```
-pub fn partition_by_weight(
+pub(crate) fn partition_by_weight(
     n: usize,
     parts: usize,
     weight: impl Fn(usize) -> u64,

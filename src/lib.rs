@@ -18,7 +18,7 @@
 //!   evaluates — including the batched sparse × dense SpMM
 //!   (`spmm_dense_*`, column-tiled so one pass serves many right-hand
 //!   sides) — all generic over [`matrix::Scalar`] (`f64` and `f32`),
-//!   plus the [`Executor`]: one `spmv`/`spmm`/`spmm_dense` entry point
+//!   plus the [`Executor`]: one `spmv`/`spmm_dense`/`spgemm` entry point
 //!   over *format × precision × serial/parallel*,
 //! * [`parallel`] — a scoped thread pool plus multi-threaded variants of
 //!   the native kernels, bit-identical to the serial ones at every thread

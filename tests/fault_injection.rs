@@ -8,7 +8,7 @@
 #![cfg(feature = "fault-injection")]
 
 use proptest::prelude::*;
-use smash::encoding::SmashConfig;
+use smash::encoding::{SmashConfig, SmashMatrix};
 use smash::matrix::{generators, Csr, Dense};
 use smash::parallel::faultinject::{arm, FaultPlan, Site, INJECTED_PANIC};
 use smash::{Degradation, Executor, MemoryBudget, SmashError};
@@ -51,6 +51,35 @@ fn worker_panic_degrades_to_the_bit_identical_serial_result() {
         other => panic!("expected one WorkerPanic degradation, got {other:?}"),
     }
     assert!(report.plan.rationale.contains("degraded"));
+}
+
+/// The SMASH × SMASH operand pair of the shared workload: `A` row-major,
+/// `A` again column-major.
+fn smash_pair(a: &Csr<f64>) -> (SmashMatrix<f64>, SmashMatrix<f64>) {
+    let row = SmashConfig::row_major(&[2]).expect("valid config");
+    let col = SmashConfig::col_major(&[2]).expect("valid config");
+    (SmashMatrix::encode(a, row), SmashMatrix::encode(a, col))
+}
+
+#[test]
+fn worker_panic_in_the_smash_products_degrades_to_the_serial_result() {
+    let (a, _, _, cfg) = workload();
+    let (sa, sb) = smash_pair(&a);
+    let want_sm = Executor::serial().spgemm_smash(&a, &a, cfg.clone());
+    let want_c = Executor::serial().spmm_smash(&sa, &sb);
+
+    // Pools spawned under the session, as above.
+    let session = arm(FaultPlan::new().fail_at(Site::WorkerJob, 1));
+    let sm = Executor::with_threads(4).spgemm_smash(&a, &a, cfg);
+    assert_eq!(session.fired(), vec![(Site::WorkerJob, 1)]);
+    drop(session);
+    assert_eq!(sm, want_sm, "spgemm_smash");
+
+    let session = arm(FaultPlan::new().fail_at(Site::WorkerJob, 1));
+    let c = Executor::with_threads(4).spmm_smash(&sa, &sb);
+    assert_eq!(session.fired(), vec![(Site::WorkerJob, 1)]);
+    drop(session);
+    assert_eq!(c.entries(), want_c.entries(), "spmm_smash");
 }
 
 #[test]
@@ -152,6 +181,9 @@ proptest! {
         Executor::serial().spmm_dense(&a, &b, &mut want_c);
         let want_p = Executor::serial().spgemm(&a, &a);
         let want_sm = Executor::serial().encode(&a, cfg.clone());
+        let want_psm = Executor::serial().spgemm_smash(&a, &a, cfg.clone());
+        let (sa, sb) = smash_pair(&a);
+        let want_ssm = Executor::serial().spmm_smash(&sa, &sb);
 
         let session = arm(FaultPlan::seeded(
             seed,
@@ -181,8 +213,14 @@ proptest! {
         let (p, _) = exec.try_spgemm(&a, &a).expect("spgemm ladder");
         prop_assert_eq!(&p, &want_p);
 
-        let (sm, _) = exec.try_encode(&a, cfg).expect("encode ladder");
+        let (sm, _) = exec.try_encode(&a, cfg.clone()).expect("encode ladder");
         prop_assert_eq!(&sm, &want_sm);
+
+        // The SMASH products have no `try_*` twin: a worker panic they
+        // cannot absorb would propagate out of the call.
+        prop_assert_eq!(&exec.spgemm_smash(&a, &a, cfg), &want_psm);
+        let ssm = exec.spmm_smash(&sa, &sb);
+        prop_assert_eq!(ssm.entries(), want_ssm.entries());
 
         drop(session);
     }

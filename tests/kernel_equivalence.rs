@@ -199,9 +199,9 @@ fn executor_auto_is_bit_identical_to_explicit_kernels() {
         spmv_rows(&sm, &x, &mut want);
         assert!(got == want, "smash auto != serial");
 
-        let b = a.transpose().to_csc();
+        let at = a.transpose();
         assert!(
-            exec.spmm(a, &b).entries() == native::spmm_csr(a, &b).entries(),
+            exec.spgemm(a, &at).to_coo().entries() == native::spmm_csr(a, &at.to_csc()).entries(),
             "spmm auto != serial"
         );
         let cfg = SmashConfig::row_major(&[2, 4]).expect("valid");

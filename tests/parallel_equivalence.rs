@@ -34,7 +34,8 @@ fn assert_all_kernels_equivalent(a: &Csr<f64>) {
     let bcsr = Bcsr::from_csr(a, 2, 2).expect("valid 2x2 blocking");
     let cfg = SmashConfig::row_major(&[2, 4]).expect("valid config");
     let sm = SmashMatrix::encode(a, cfg.clone());
-    let bc = a.transpose().to_csc(); // inner dims: a.cols() == bᵀ.rows()
+    let at = a.transpose(); // inner dims: a.cols() == aᵀ.rows()
+    let bc = at.to_csc();
 
     // Serial references, computed once.
     let mut want_csr = vec![0.0f64; a.rows()];
@@ -62,7 +63,9 @@ fn assert_all_kernels_equivalent(a: &Csr<f64>) {
         par_spmv_rows(&pool, &sm, &x, &mut got);
         assert_eq!(got, want_smash, "spmv_smash, threads = {label}");
 
-        let got_spmm = Executor::with_threads(pool.threads()).spmm(a, &bc);
+        let got_spmm = Executor::with_threads(pool.threads())
+            .spgemm(a, &at)
+            .to_coo();
         assert_eq!(
             got_spmm.entries(),
             want_spmm.entries(),
@@ -104,7 +107,8 @@ fn assert_f32_parallel_bit_identical(a64: &Csr<f64>) {
     let bcsr = Bcsr::from_csr(&a, 2, 2).expect("valid 2x2 blocking");
     let cfg = SmashConfig::row_major(&[2, 4]).expect("valid config");
     let sm = SmashMatrix::encode(&a, cfg.clone());
-    let bc = a.transpose().to_csc();
+    let at = a.transpose();
+    let bc = at.to_csc();
 
     // Serial references in f32, computed once.
     let mut want_csr = vec![0.0f32; a.rows()];
@@ -125,7 +129,10 @@ fn assert_f32_parallel_bit_identical(a64: &Csr<f64>) {
         par_spmv_rows(&pool, &sm, &x, &mut got);
         assert_eq!(got, want_smash, "f32 spmv_smash, threads = {threads}");
         assert_eq!(
-            Executor::with_threads(threads).spmm(&a, &bc).entries(),
+            Executor::with_threads(threads)
+                .spgemm(&a, &at)
+                .to_coo()
+                .entries(),
             want_spmm.entries(),
             "f32 spmm_csr, threads = {threads}"
         );

@@ -9,7 +9,6 @@ use proptest::prelude::*;
 use smash::encoding::{SmashConfig, SmashMatrix};
 use smash::kernels::{native, spgemm};
 use smash::matrix::{Coo, Csr, Scalar};
-use smash::parallel::ThreadPool;
 use smash::{Degradation, ExecReport, Executor, MemoryBudget, NonFinitePolicy, SmashError};
 
 /// The oracle: `Csr::spmm_inner`'s triplet list — per (i, j), the
@@ -107,27 +106,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The acceptance pin: `Executor::spgemm` output is `==` (exact
-    /// triplets, not approximately) to the inner-product oracle at
-    /// threads {1, 2, 8}, in both precisions.
+    /// triplets, not approximately) to the inner-product oracle serially
+    /// and at threads {1, 2, 8}, in both precisions (integer-valued
+    /// entries stay exact at f32).
     #[test]
     fn engine_is_triplet_exact_to_the_oracle_at_all_thread_counts(pair in arb_pair()) {
         let (a, b) = pair;
-        let want = oracle(&a, &b);
-        prop_assert_eq!(&engine_entries(&spgemm::spgemm(&a, &b)), &want);
-        for threads in [1usize, 2, 8] {
-            let pool = ThreadPool::new(threads);
-            let c = spgemm::par_spgemm(&pool, &a, &b);
-            prop_assert_eq!(&engine_entries(&c), &want, "threads={}", threads);
-        }
-
-        // Same pin at f32: integer-valued entries stay exact.
         let (a32, b32) = (a.cast::<f32>(), b.cast::<f32>());
-        let want32 = oracle(&a32, &b32);
-        prop_assert_eq!(&engine_entries(&spgemm::spgemm(&a32, &b32)), &want32);
-        for threads in [2usize, 8] {
-            let pool = ThreadPool::new(threads);
-            let c = spgemm::par_spgemm(&pool, &a32, &b32);
-            prop_assert_eq!(&engine_entries(&c), &want32, "threads={}", threads);
+        let (want, want32) = (oracle(&a, &b), oracle(&a32, &b32));
+        let execs = [1usize, 2, 8].map(|t| (t, Executor::with_threads(t)));
+        for (threads, exec) in std::iter::once((0, Executor::serial())).chain(execs) {
+            prop_assert_eq!(&engine_entries(&exec.spgemm(&a, &b)), &want, "threads={}", threads);
+            let c = exec.spgemm(&a32, &b32);
+            prop_assert_eq!(&engine_entries(&c), &want32, "f32 threads={}", threads);
         }
     }
 
@@ -142,7 +133,7 @@ proptest! {
         let want = oracle(&a, &b);
         prop_assert!(want.iter().all(|&(_, _, v)| v != 0.0), "oracle stored a zero");
 
-        let c = spgemm::spgemm(&a, &b);
+        let c = Executor::serial().spgemm(&a, &b);
         prop_assert!(c.values().iter().all(|&v| v != 0.0), "engine stored a zero");
         prop_assert_eq!(&engine_entries(&c), &want);
 
@@ -174,7 +165,7 @@ proptest! {
     #[test]
     fn output_columns_are_sorted_and_duplicate_free(pair in arb_pair()) {
         let (a, b) = pair;
-        let c = spgemm::spgemm(&a, &b);
+        let c = Executor::serial().spgemm(&a, &b);
         prop_assert_eq!(c.rows(), a.rows());
         prop_assert_eq!(c.cols(), b.cols());
         for i in 0..c.rows() {
@@ -218,30 +209,32 @@ fn engineered_cancellation_is_dropped_everywhere() {
 
     let want = vec![(0u32, 1u32, -2.0f64)];
     assert_eq!(oracle(&a, &b), want);
-    assert_eq!(engine_entries(&spgemm::spgemm(&a, &b)), want);
+    assert_eq!(engine_entries(&Executor::serial().spgemm(&a, &b)), want);
     assert_eq!(native::spmm_csr(&a, &b.to_csc()).entries(), want.as_slice());
     assert_eq!(
         native::spmm_csr_opt(&a, &b.to_csc()).entries(),
         want.as_slice()
     );
-    let pool = ThreadPool::new(2);
-    assert_eq!(engine_entries(&spgemm::par_spgemm(&pool, &a, &b)), want);
+    assert_eq!(
+        engine_entries(&Executor::with_threads(2).spgemm(&a, &b)),
+        want
+    );
 }
 
 #[test]
 fn empty_operands_produce_empty_products() {
     let empty_a = Csr::<f64>::from_coo(&Coo::new(0, 8));
     let b = smash::matrix::generators::uniform(8, 8, 20, 1);
-    let c = spgemm::spgemm(&empty_a, &b);
+    let c = Executor::serial().spgemm(&empty_a, &b);
     assert_eq!((c.rows(), c.cols(), c.nnz()), (0, 8, 0));
 
     let no_entries = Csr::<f64>::from_coo(&Coo::new(8, 8));
-    let c = spgemm::spgemm(&b, &no_entries);
+    let c = Executor::serial().spgemm(&b, &no_entries);
     assert_eq!((c.rows(), c.cols(), c.nnz()), (8, 8, 0));
     assert_eq!(engine_entries(&c), oracle(&b, &no_entries));
 
     let zero_cols = Csr::<f64>::from_coo(&Coo::new(8, 0));
-    let c = spgemm::spgemm(&b, &zero_cols);
+    let c = Executor::serial().spgemm(&b, &zero_cols);
     assert_eq!((c.rows(), c.cols(), c.nnz()), (8, 0, 0));
 }
 
@@ -258,11 +251,15 @@ fn fully_dense_row_uses_the_dense_accumulator_and_matches() {
     let a = Csr::from_coo(&a);
     let b = smash::matrix::generators::uniform(n, n, 6 * n, 5);
 
+    // Row 0's bound covers every stored entry of B; row 1's is one row.
     let (bounds, _) = spgemm::symbolic_bounds(&a, &b);
-    assert!(spgemm::use_dense_accumulator(bounds[0], b.cols()));
-    assert!(!spgemm::use_dense_accumulator(bounds[1], b.cols()));
+    assert_eq!(bounds[0], b.nnz() as u64);
+    assert_eq!(bounds[1], b.row_nnz(3) as u64);
 
-    assert_eq!(engine_entries(&spgemm::spgemm(&a, &b)), oracle(&a, &b));
+    assert_eq!(
+        engine_entries(&Executor::serial().spgemm(&a, &b)),
+        oracle(&a, &b)
+    );
 }
 
 #[test]
@@ -281,7 +278,7 @@ fn outer_product_of_vectors_is_exact() {
         }
     }
     let (col, row) = (Csr::from_coo(&col), Csr::from_coo(&row));
-    let c = spgemm::spgemm(&col, &row);
+    let c = Executor::serial().spgemm(&col, &row);
     assert_eq!(engine_entries(&c), oracle(&col, &row));
     // Structure: rows where col is occupied × cols where row is occupied,
     // minus exact zeros (none here: 2 - i hits zero only at i = 2... which
@@ -301,7 +298,7 @@ fn outer_product_of_vectors_is_exact() {
 fn smash_emission_is_equal_to_encoding_the_product() {
     let a = smash::matrix::generators::power_law(96, 96, 2_500, 1.25, 17);
     let cfg = SmashConfig::row_major(&[2, 4]).unwrap();
-    let want = SmashMatrix::encode(&spgemm::spgemm(&a, &a), cfg.clone());
+    let want = SmashMatrix::encode(&Executor::serial().spgemm(&a, &a), cfg.clone());
     for (name, exec) in [
         ("serial", Executor::serial()),
         ("threads8", Executor::with_threads(8)),
