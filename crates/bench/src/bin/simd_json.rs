@@ -3,8 +3,10 @@
 //! Writes `BENCH_simd.json` (path overridable as the first CLI argument)
 //! with per-ISA wall-clock numbers for the three vectorized kernel
 //! families — the CSR `row_dot` (via `spmv_rows` over CSR), the SMASH
-//! `block_dot` (via `spmv_rows` over SMASH), and the dense RHS axpy tiles
-//! (via `spmm_dense_rows` over SMASH at the 8-wide calibration batch) —
+//! SpMV row body (`block_dot_spmv`: `spmv_rows` over SMASH, one portable
+//! body under every tier), and the SMASH blocked-row RHS tiles
+//! (`axpy_tile_spmm`: `spmm_dense_rows` over SMASH at the 8-wide
+//! calibration batch) —
 //! on a structurally
 //! diverse slice of the planner zoo, in both precisions. Each kernel runs
 //! once under every ISA the host supports by forcing the dispatch layer

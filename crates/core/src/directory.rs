@@ -10,15 +10,24 @@
 //! [`RankIndex`]es and each line's starting NZA ordinal. A walk over any
 //! line range seeks one cursor per level in O(levels) and then scans the
 //! hierarchy top-down, as the BMU does: for every set parent bit it
-//! visits only that parent's child group, with aligned word loads and
+//! visits only that parent's child group, with word loads and
 //! count-trailing-zeros, and keeps a running stored-bit count per level
 //! to address the next child group — no `select`, no per-bit `get()`, no
-//! division per block, no expansion.
+//! division per block, no expansion. The walk hands out level-0 bits a
+//! word-sized *fragment* at a time (one line's share of a child group, as
+//! a `u64` mask), so a kernel visits blocks by shifting a register rather
+//! than by one callback per block.
 //!
 //! Auxiliary memory is O(lines + stored-bits / 512) instead of O(logical
 //! bits): sublinear in the dense matrix size.
 
 use crate::{BitmapHierarchy, RankIndex, MAX_LEVELS};
+
+// The walk keeps one bit cursor per level above 0.
+const _: () = assert!(
+    MAX_LEVELS <= 4,
+    "the group walk has cursors for four levels"
+);
 use std::ops::Range;
 
 /// Per-matrix directory for O(1) row seeks into the compressed form.
@@ -127,18 +136,24 @@ impl LineDirectory {
         (self.starts[line + 1] - self.starts[line]) as usize
     }
 
-    /// The top-down walk behind
-    /// [`SmashMatrix::for_each_block_in`](crate::SmashMatrix::for_each_block_in):
-    /// calls `f(line, offset, ordinal)` for every non-zero block of
-    /// `lines`, in storage order, where `offset` is the block's first
-    /// element within its line (`block_in_line * b0`) and `ordinal` its
-    /// NZA block index.
+    /// The group-level walk every SMASH decode runs on: hands `sink` one
+    /// *fragment* `(line, first_block, mask, ordinal)` at a time over
+    /// `lines`, in storage order. A fragment is the piece of one aligned
+    /// word of the stored Bitmap-0 that falls in one line and (for two or
+    /// more levels) in one child group of a set level-1 bit: bit `i` of
+    /// `mask` is block `first_block + i` of `line`, bit 0 is set, and
+    /// `ordinal` is the NZA ordinal of that first block, the other set
+    /// bits following consecutively. The sink returns the ordinal one past
+    /// the fragment (`ordinal + mask.count_ones()`): every consumer steps
+    /// through the bits anyway, so the walk never counts them
+    /// (`count_ones` is a software sequence on the baseline x86-64
+    /// target).
     ///
-    /// Seeding costs one [`RankIndex::rank`] per level. From there each
-    /// level keeps a cursor — the stored span still to scan, the offset
-    /// from stored to logical index, and the running count of set bits
-    /// already passed — so a set parent bit addresses its child group
-    /// directly (`count * ratio`). The line is tracked incrementally.
+    /// Seeding costs one [`RankIndex::rank`] per level. Each level then
+    /// has a bit cursor — the stored span left to load, the loaded word
+    /// piece, and the running rank that addresses the next child group —
+    /// and, with the line and the ordinal, these are local variables of
+    /// one flat loop. Each fragment costs one word load and a few shifts.
     /// `h` must be the hierarchy the directory was built from.
     ///
     /// # Panics
@@ -146,13 +161,12 @@ impl LineDirectory {
     /// Panics if `lines` runs past `line_count()` or the hierarchy has a
     /// different level count than the directory (or more than
     /// [`MAX_LEVELS`]).
-    #[inline]
-    pub(crate) fn for_each_block_in<F: FnMut(usize, usize, usize)>(
+    #[inline(always)]
+    pub(crate) fn for_each_group_in<S: FragmentSink>(
         &self,
         h: &BitmapHierarchy,
         lines: Range<usize>,
-        b0: usize,
-        mut f: F,
+        sink: &mut S,
     ) {
         assert!(
             lines.start <= lines.end && lines.end <= self.line_count(),
@@ -181,18 +195,10 @@ impl LineDirectory {
             lo[l] = lo[l - 1] / g;
             hi[l] = hi[l - 1].div_ceil(g);
         }
-        // Per-level cursor: the stored span `pos..end` left to scan, the
-        // logical index of stored bit `s` (`s + delta`), and the number of
-        // set bits before `pos` (the rank that addresses child groups).
-        let mut pos = [0usize; MAX_LEVELS];
-        let mut end = [0usize; MAX_LEVELS];
-        let mut delta = [0usize; MAX_LEVELS];
-        let mut ones = [0usize; MAX_LEVELS];
-        pos[top] = lo[top];
-        end[top] = hi[top];
-        // Seed the counts at the first stored position each level's walk
+        // Seed each level's rank at the first stored position its walk
         // reaches: the position of `lo[l]` when its group is stored, else
         // the start of the next stored group (its insertion point).
+        let mut ones = [0usize; MAX_LEVELS];
         let mut p = lo[top];
         let mut stored = true;
         for l in (1..levels).rev() {
@@ -201,66 +207,87 @@ impl LineDirectory {
             let g = ratios[l] as usize;
             p = ones[l] * g + if stored { lo[l - 1] - lo[l] * g } else { 0 };
         }
-        let words0 = h.stored_level(0).words();
-        let mut ordinal = self.starts[lines.start] as usize;
-        let mut line = lines.start;
-        let mut line_end = lo[0] + bpl;
-        // Every level-0 bit the walk reaches is a block; `j` is its
-        // logical index.
-        let mut emit = |j: usize| {
-            while j >= line_end {
-                line += 1;
-                line_end += bpl;
-            }
-            f(line, (j + bpl - line_end) * b0, ordinal);
-            ordinal += 1;
+        let mut level0 = Level0 {
+            words: h.stored_level(0).words(),
+            bpl,
+            line: lines.start,
+            line_end: lo[0] + bpl,
+            ordinal: self.starts[lines.start] as usize,
         };
+        // One bit cursor per level above 0, the top one opened on the
+        // whole range (the top level is stored in full); each lower one is
+        // reopened on the child group of every set bit above it.
+        let words = |l: usize| {
+            if l <= top {
+                h.stored_level(l).words()
+            } else {
+                &[]
+            }
+        };
+        let ratio = |l: usize| ratios.get(l).map_or(1, |&g| g as usize);
+        let (words1, words2, words3) = (words(1), words(2), words(3));
+        let (g1, g2, g3) = (ratio(1), ratio(2), ratio(3));
+        let (mut s1, mut s2, mut s3) = (Scan::new(ones[1]), Scan::new(ones[2]), Scan::new(ones[3]));
+        match top {
+            1 => s1.open(words1, (lo[1], hi[1], 0)),
+            2 => s2.open(words2, (lo[2], hi[2], 0)),
+            3 => s3.open(words3, (lo[3], hi[3], 0)),
+            _ => {}
+        }
         if top == 0 {
-            for_each_one_in(words0, lo[0], hi[0], &mut emit);
+            // A single level is stored in full (logical == stored): its one
+            // level-0 span is the range itself.
+            level0.emit((lo[0], hi[0], 0), sink);
             return;
         }
-        let (words1, g0) = (h.stored_level(1).words(), ratios[1] as usize);
-        let mut l = top;
         loop {
-            if l == 1 {
-                // The hot loop: the two lowest levels as nested scans, each
-                // set level-1 bit opening its level-0 child group in place.
-                let d1 = delta[1];
-                let mut k = ones[1];
-                for_each_one_in(words1, pos[1], end[1], |s| {
-                    let (base, first) = ((s + d1) * g0, k * g0);
-                    k += 1;
-                    let from = first + base.max(lo[0]) - base;
-                    let to = first + (base + g0).min(hi[0]) - base;
-                    let d0 = base - first;
-                    for_each_one_in(words0, from, to, |s0| emit(s0 + d0));
-                });
-                ones[1] = k;
-                if top == 1 {
-                    return;
-                }
-                l = 2;
-                continue;
-            }
-            match next_one_in(h.stored_level(l).words(), pos[l], end[l]) {
-                None if l == top => return,
-                None => l += 1,
-                Some(s) => {
-                    // Descend into the child group of stored bit `s`: the
-                    // `ones[l]`-th stored group of level `l - 1`, clipped
-                    // to the range.
-                    pos[l] = s + 1;
-                    let g = ratios[l] as usize;
-                    let first = ones[l] * g;
-                    ones[l] += 1;
-                    let base = (s + delta[l]) * g;
-                    pos[l - 1] = first + base.max(lo[l - 1]) - base;
-                    end[l - 1] = first + (base + g).min(hi[l - 1]) - base;
-                    delta[l - 1] = base - first;
-                    l -= 1;
-                }
-            }
+            // The next set level-1 bit, refilling each level from the one
+            // above as it runs dry.
+            let span = {
+                let b1 = loop {
+                    if let Some(b) = s1.next(words1) {
+                        break b;
+                    }
+                    if top == 1 {
+                        return;
+                    }
+                    let b2 = loop {
+                        if let Some(b) = s2.next(words2) {
+                            break b;
+                        }
+                        if top == 2 {
+                            return;
+                        }
+                        let Some(b3) = s3.next(words3) else { return };
+                        s2.open(words2, s3.child(b3, g3, lo[2], hi[2]));
+                    };
+                    s1.open(words1, s2.child(b2, g2, lo[1], hi[1]));
+                };
+                s1.child(b1, g1, lo[0], hi[0])
+            };
+            level0.emit(span, sink);
         }
+    }
+
+    /// The per-block view of [`for_each_group_in`](Self::for_each_group_in)
+    /// behind [`SmashMatrix::for_each_block_in`](crate::SmashMatrix::for_each_block_in):
+    /// calls `f(line, offset, ordinal)` for every non-zero block of
+    /// `lines`, in storage order, where `offset` is the block's first
+    /// element within its line (`block_in_line * b0`) and `ordinal` its
+    /// NZA block index.
+    ///
+    /// # Panics
+    ///
+    /// As [`for_each_group_in`](Self::for_each_group_in).
+    #[inline]
+    pub(crate) fn for_each_block_in<F: FnMut(usize, usize, usize)>(
+        &self,
+        h: &BitmapHierarchy,
+        lines: Range<usize>,
+        b0: usize,
+        mut f: F,
+    ) {
+        self.for_each_group_in(h, lines, &mut PerBlock { f: &mut f, b0 });
     }
 
     /// Number of non-zero blocks whose logical level-0 index is below
@@ -341,52 +368,215 @@ impl LineDirectory {
     }
 }
 
-/// The words of `words` covering bits `[from, to)` (non-empty), each as
-/// `(first bit index, word masked to the span)`.
-#[inline(always)]
-fn span_words(words: &[u64], from: usize, to: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
-    let (first, last) = (from / 64, (to - 1) / 64);
-    let (lo, hi) = (u64::MAX << (from % 64), u64::MAX >> (63 - (to - 1) % 64));
-    words[first..=last]
-        .iter()
-        .zip(first..)
-        .map(move |(&word, w)| {
-            let mut m = word;
-            if w == first {
-                m &= lo;
-            }
-            if w == last {
-                m &= hi;
-            }
-            (w * 64, m)
-        })
+/// The consumer of a group walk
+/// ([`LineDirectory::for_each_group_in`]): takes one fragment
+/// `(line, first_block, mask, ordinal)` and returns the ordinal one past
+/// it. Closures of that shape are sinks; a kernel whose per-fragment body
+/// must be inlined into the walk (its accumulators kept in registers)
+/// implements the trait with an `#[inline(always)]` method.
+pub(crate) trait FragmentSink {
+    /// Consumes one fragment; returns `ordinal + mask.count_ones()`.
+    fn fragment(&mut self, line: usize, first_block: usize, mask: u64, ordinal: usize) -> usize;
 }
 
-/// Calls `f(s)` for every set bit `s` of `words` in `[from, to)`, in
-/// order: one aligned load per word, count-trailing-zeros to find a bit,
-/// clear-lowest-bit to drop it (the §4.4 software scan).
-#[inline(always)]
-fn for_each_one_in(words: &[u64], from: usize, to: usize, mut f: impl FnMut(usize)) {
-    if from >= to {
-        return;
+impl<F: FnMut(usize, usize, u64, usize) -> usize> FragmentSink for F {
+    #[inline(always)]
+    fn fragment(&mut self, line: usize, first_block: usize, mask: u64, ordinal: usize) -> usize {
+        self(line, first_block, mask, ordinal)
     }
-    for (base, mut m) in span_words(words, from, to) {
+}
+
+/// The sink behind [`LineDirectory::for_each_block_in`]: one call of `f`
+/// per set bit, inlined into the walk like a kernel body.
+struct PerBlock<F> {
+    f: F,
+    b0: usize,
+}
+
+impl<F: FnMut(usize, usize, usize)> FragmentSink for PerBlock<F> {
+    #[inline(always)]
+    fn fragment(&mut self, line: usize, first: usize, mut mask: u64, mut ordinal: usize) -> usize {
+        while mask != 0 {
+            (self.f)(
+                line,
+                (first + mask.trailing_zeros() as usize) * self.b0,
+                ordinal,
+            );
+            ordinal += 1;
+            mask &= mask - 1;
+        }
+        ordinal
+    }
+}
+
+/// A cursor over the set bits of one stored span of a level: stored bits
+/// `pos..end` still to load (logical index = stored + `delta`), the set
+/// bits `m` of the last loaded word piece (bit 0 is stored bit `base`),
+/// and the running rank `ones` that addresses the next child group.
+#[derive(Clone, Copy)]
+struct Scan {
+    pos: usize,
+    end: usize,
+    delta: usize,
+    m: u64,
+    base: usize,
+    ones: usize,
+}
+
+impl Scan {
+    /// An empty cursor whose set bits so far number `ones`.
+    fn new(ones: usize) -> Scan {
+        Scan {
+            pos: 0,
+            end: 0,
+            delta: 0,
+            m: 0,
+            base: 0,
+            ones,
+        }
+    }
+
+    /// Starts scanning the span `(from, to, delta)` of `words`, loading
+    /// its first word piece (a child group usually fits in it).
+    #[inline(always)]
+    fn open(&mut self, words: &[u64], (from, to, delta): (usize, usize, usize)) {
+        (self.end, self.delta, self.base) = (to, delta, from);
+        if from < to {
+            let n = (to - from).min(64 - from % 64);
+            (self.m, self.pos) = (piece(words, from, n), from + n);
+        } else {
+            (self.m, self.pos) = (0, to);
+        }
+    }
+
+    /// The next set stored bit of the span, loading it an aligned word
+    /// piece at a time and skipping runs of empty words.
+    #[inline(always)]
+    fn next(&mut self, words: &[u64]) -> Option<usize> {
+        while self.m == 0 {
+            if self.pos >= self.end {
+                return None;
+            }
+            if self.pos.is_multiple_of(64) {
+                self.pos = 64 * skip_empty(words, self.pos / 64, (self.end - 1) / 64);
+            }
+            let n = (self.end - self.pos).min(64 - self.pos % 64);
+            (self.m, self.base) = (piece(words, self.pos, n), self.pos);
+            self.pos += n;
+        }
+        let s = self.base + self.m.trailing_zeros() as usize;
+        self.m &= self.m - 1;
+        Some(s)
+    }
+
+    /// The child span of set stored bit `s`: the `ones`-th stored group of
+    /// `g` bits one level down, clipped to that level's logical range
+    /// `lo..hi`, as `(from, to, delta)`.
+    #[inline(always)]
+    fn child(&mut self, s: usize, g: usize, lo: usize, hi: usize) -> (usize, usize, usize) {
+        let (base, first) = ((s + self.delta) * g, self.ones * g);
+        self.ones += 1;
+        (
+            first + base.max(lo) - base,
+            first + (base + g).min(hi) - base,
+            base - first,
+        )
+    }
+}
+
+/// The level-0 end of a walk: the stored level-0 bitmap, the line the
+/// walk is in (and where it ends, in logical bits) and the running NZA
+/// ordinal.
+struct Level0<'a> {
+    words: &'a [u64],
+    bpl: usize,
+    line: usize,
+    line_end: usize,
+    ordinal: usize,
+}
+
+impl Level0<'_> {
+    /// Hands the set bits of the stored level-0 span `from..to` (logical
+    /// index = stored + `delta`) to `sink`, one fragment per piece of an
+    /// aligned word that lies in one line. Each fragment starts at a set
+    /// bit.
+    #[inline(always)]
+    fn emit<S: FragmentSink>(&mut self, (from, to, delta): (usize, usize, usize), sink: &mut S) {
+        if from >= to {
+            return;
+        }
+        let (mut w, last) = (from / 64, (to - 1) / 64);
+        if w == last {
+            // The common case: a child group inside one word.
+            self.word(piece(self.words, from, to - from), from + delta, sink);
+            return;
+        }
+        let words = &self.words[..=last];
+        let mut m = words[w] & (u64::MAX << (from % 64));
+        loop {
+            if w == last {
+                m &= u64::MAX >> (63 - (to - 1) % 64);
+            }
+            self.word(m, w * 64 + delta, sink);
+            if w == last {
+                return;
+            }
+            w = skip_empty(words, w + 1, last);
+            m = words[w];
+        }
+    }
+
+    /// Hands the set bits of `m`, whose bit 0 has logical index `j`, to
+    /// `sink` as one fragment per line they fall in.
+    #[inline(always)]
+    fn word<S: FragmentSink>(&mut self, mut m: u64, mut j: usize, sink: &mut S) {
         while m != 0 {
-            f(base + m.trailing_zeros() as usize);
-            m &= m - 1;
+            let tz = m.trailing_zeros() as usize;
+            (m, j) = (m >> tz, j + tz);
+            while j >= self.line_end {
+                self.line += 1;
+                self.line_end += self.bpl;
+            }
+            // The bits of `m` left in this line, and those past it.
+            let k = self.line_end - j;
+            let rest = if k < 64 { m >> k } else { 0 };
+            let mask = m ^ (rest << (k % 64));
+            let first = j + self.bpl - self.line_end;
+            let next = sink.fragment(self.line, first, mask, self.ordinal);
+            debug_assert_eq!(
+                next,
+                self.ordinal + mask.count_ones() as usize,
+                "a fragment consumer must step one ordinal per block"
+            );
+            self.ordinal = next;
+            (m, j) = (rest, j + k);
         }
     }
 }
 
-/// Position of the first set bit of `words` in `[from, to)`.
+/// The first non-empty word of `words[w..last]`, or `last` when there is
+/// none: four words a step (a flat Bitmap-0 is mostly empty words),
+/// landing on the non-empty one without a branch.
 #[inline(always)]
-fn next_one_in(words: &[u64], from: usize, to: usize) -> Option<usize> {
-    if from >= to {
-        return None;
+fn skip_empty(words: &[u64], mut w: usize, last: usize) -> usize {
+    while w + 4 <= last {
+        let (a, b, c, d) = (words[w], words[w + 1], words[w + 2], words[w + 3]);
+        if a | b | c | d != 0 {
+            return w + usize::from(a == 0) + usize::from(a | b == 0) + usize::from(a | b | c == 0);
+        }
+        w += 4;
     }
-    span_words(words, from, to)
-        .find(|&(_, m)| m != 0)
-        .map(|(base, m)| base + m.trailing_zeros() as usize)
+    while w < last && words[w] == 0 {
+        w += 1;
+    }
+    w
+}
+
+/// Bits `p..p + n` of `words` as the low `n` bits of a word, for a piece
+/// inside one word (`1 <= n <= 64 - p % 64`): one load, one shift.
+#[inline(always)]
+fn piece(words: &[u64], p: usize, n: usize) -> u64 {
+    (words[p / 64] >> (p % 64)) & (u64::MAX >> (64 - n))
 }
 
 #[cfg(test)]
@@ -482,6 +672,120 @@ mod tests {
         let sparse: Vec<usize> = (0..60).filter(|i| i % 11 == 4).collect();
         let h = BitmapHierarchy::from_level0(&bm(&sparse, 60), &[2, 4, 2, 2]).unwrap();
         check_against_expansion(&h, 20, 3);
+    }
+
+    /// Walks `lines` a fragment at a time, returning
+    /// `(line, first_block, mask, ordinal)` per fragment.
+    fn groups(
+        dir: &LineDirectory,
+        h: &BitmapHierarchy,
+        lines: Range<usize>,
+    ) -> Vec<(usize, usize, u64, usize)> {
+        let mut got = Vec::new();
+        let mut sink = |line, first, mask: u64, ordinal| {
+            got.push((line, first, mask, ordinal));
+            ordinal + mask.count_ones() as usize
+        };
+        dir.for_each_group_in(h, lines, &mut sink);
+        got
+    }
+
+    /// Oracle for the group walk: over every line range, the fragments
+    /// expand to exactly the expansion's blocks; each one starts at a set
+    /// bit, stays inside its line and (with two or more levels) inside one
+    /// level-1 group; and ordinals run on from the range's first block.
+    fn check_groups_against_expansion(h: &BitmapHierarchy, lines: usize, bpl: usize) {
+        let dir = LineDirectory::build(h, lines, bpl);
+        let all: Vec<[usize; 3]> = h
+            .expand_full(0)
+            .iter_ones()
+            .enumerate()
+            .map(|(o, l)| [l / bpl, l % bpl, o])
+            .collect();
+        let g1 = h.ratios().get(1).map(|&g| g as usize);
+        for r0 in 0..=lines {
+            for r1 in r0..=lines {
+                let want: Vec<[usize; 3]> = all
+                    .iter()
+                    .copied()
+                    .filter(|t| (r0..r1).contains(&t[0]))
+                    .collect();
+                let mut got = Vec::new();
+                let mut next_ordinal = want.first().map(|t| t[2]);
+                for (line, first, mask, ordinal) in groups(&dir, h, r0..r1) {
+                    let label = format!("lines {r0}..{r1}, fragment ({line}, {first}, {mask:#b})");
+                    assert!((r0..r1).contains(&line), "{label}");
+                    assert_eq!(mask & 1, 1, "{label}: must start at a set bit");
+                    let last = first + 63 - mask.leading_zeros() as usize;
+                    assert!(last < bpl, "{label}: leaves its line");
+                    if let Some(g) = g1 {
+                        let base = line * bpl;
+                        assert_eq!(
+                            (base + first) / g,
+                            (base + last) / g,
+                            "{label}: spans groups"
+                        );
+                    }
+                    assert_eq!(Some(ordinal), next_ordinal, "{label}: ordinal");
+                    let mut m = mask;
+                    let mut o = ordinal;
+                    while m != 0 {
+                        got.push([line, first + m.trailing_zeros() as usize, o]);
+                        o += 1;
+                        m &= m - 1;
+                    }
+                    next_ordinal = Some(o);
+                }
+                assert_eq!(got, want, "lines {r0}..{r1}");
+            }
+        }
+    }
+
+    #[test]
+    fn group_walk_matches_expansion_across_shapes() {
+        // (bits, len, lines, ratios): one to four levels, level-1 ratios
+        // above 64, groups straddling lines, empty lines and matrices.
+        let wide: Vec<usize> = (0..1300)
+            .filter(|i| i % 7 == 0 || (200..330).contains(i))
+            .collect();
+        let cases: Vec<(Vec<usize>, usize, usize, Vec<u32>)> = vec![
+            (vec![5, 6, 7], 40, 5, vec![2]),
+            ((0..200).filter(|i| i % 3 != 1).collect(), 200, 2, vec![2]),
+            (wide.clone(), 1300, 5, vec![8]),
+            (vec![0, 2, 13], 16, 4, vec![2, 4]),
+            (vec![9], 10, 2, vec![2, 4]),
+            (vec![], 64, 8, vec![2, 8]),
+            (vec![0, 64, 65, 127, 128], 192, 3, vec![2, 128]),
+            (wide.clone(), 1300, 5, vec![2, 128]),
+            (wide.clone(), 1300, 10, vec![1, 100]),
+            (vec![3, 17, 40, 41, 63], 64, 8, vec![2, 4, 4]),
+            (vec![0, 299], 300, 10, vec![2, 8, 8]),
+            ((0..130).step_by(7).collect(), 260, 2, vec![2, 64, 2]),
+            (wide.clone(), 1300, 13, vec![4, 200, 2]),
+            ((0..64).collect(), 64, 4, vec![2, 2, 2, 2]),
+            (wide, 1300, 5, vec![2, 4, 2, 3]),
+            (vec![], 0, 7, vec![2, 4]),
+            (vec![], 0, 0, vec![2]),
+        ];
+        for (bits, len, lines, ratios) in cases {
+            let bpl = len.checked_div(lines).unwrap_or(0);
+            let h = BitmapHierarchy::from_level0(&bm(&bits, len), &ratios).unwrap();
+            check_groups_against_expansion(&h, lines, bpl);
+        }
+    }
+
+    #[test]
+    fn group_walk_handles_groups_straddling_lines() {
+        // bpl = 3 with ratio-4 groups: every group crosses a line border.
+        let bits: Vec<usize> = (0..60).filter(|i| i % 5 != 2).collect();
+        let h = BitmapHierarchy::from_level0(&bm(&bits, 60), &[2, 4, 4]).unwrap();
+        check_groups_against_expansion(&h, 20, 3);
+        // bpl = 70 with ratio-128 groups: groups straddle lines and words.
+        let bits: Vec<usize> = (0..700).filter(|i| i % 3 == 0 || i % 11 == 0).collect();
+        let h = BitmapHierarchy::from_level0(&bm(&bits, 700), &[2, 128, 2]).unwrap();
+        check_groups_against_expansion(&h, 10, 70);
+        let h = BitmapHierarchy::from_level0(&bm(&bits, 700), &[2]).unwrap();
+        check_groups_against_expansion(&h, 10, 70);
     }
 
     #[test]

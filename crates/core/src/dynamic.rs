@@ -26,8 +26,9 @@
 //! See `docs/DYNAMIC.md` for the tier model and the full contracts.
 
 use crate::smash_matrix::for_each_line_block;
-use crate::{block_axpy_dense, block_dot, Layout, SmashConfig, SmashMatrix};
-use smash_matrix::{for_each_rhs_tile, Csr, CsrBuilder, Dense, RowRead, Scalar};
+use crate::{Layout, SmashConfig, SmashMatrix};
+use smash_matrix::simd::BlockRow;
+use smash_matrix::{block_row_tiles, for_each_rhs_tile, Csr, CsrBuilder, Dense, RowRead, Scalar};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -516,9 +517,7 @@ impl<T: Scalar> RowRead<T> for DynamicMatrix<T> {
                 }
             }
             DynamicBase::Smash(a) => {
-                let b0 = a.config().block_size();
-                let cols = a.cols();
-                let mut scratch = vec![T::ZERO; b0];
+                let (mut blocks, mut vals) = (Vec::new(), Vec::new());
                 y.fill(T::ZERO);
                 self.for_each_run(g.clone(), |rows, delta| {
                     let out = &mut y[rows.start - g.start..rows.end - g.start];
@@ -529,14 +528,11 @@ impl<T: Scalar> RowRead<T> for DynamicMatrix<T> {
                         Some(delta) => {
                             RowRead::row_into(a, rows.start, &mut bc, &mut bv);
                             merge_row(&bc, &bv, delta, &mut mc, &mut mv);
-                            // Re-blocked merged row: the same blocks (and
-                            // the same per-block dot) a re-encoded matrix
-                            // would store for this row.
-                            for_each_line_block(&mc, &mv, &mut scratch, |blk, block| {
-                                let col = blk * b0;
-                                let n = b0.min(cols - col);
-                                out[0] += block_dot(block, x, col, n);
-                            });
+                            // The row a re-encoded matrix would store, in
+                            // the same row-striped order: the one-column
+                            // tile over `x` is the SMASH SpMV of a row.
+                            let row = reblock(a, &mc, &mv, &mut blocks, &mut vals);
+                            T::simd_block_row_tile(row, x, 1, 0, 1, out);
                         }
                     }
                 });
@@ -568,9 +564,7 @@ impl<T: Scalar> RowRead<T> for DynamicMatrix<T> {
                 }
             }
             DynamicBase::Smash(a) => {
-                let b0 = a.config().block_size();
-                let cols = a.cols();
-                let mut scratch = vec![T::ZERO; b0];
+                let (mut blocks, mut vals) = (Vec::new(), Vec::new());
                 c.fill(T::ZERO);
                 self.for_each_run(g.clone(), |rows, delta| {
                     let out = &mut c[(rows.start - g.start) * n..(rows.end - g.start) * n];
@@ -579,16 +573,38 @@ impl<T: Scalar> RowRead<T> for DynamicMatrix<T> {
                         Some(delta) => {
                             RowRead::row_into(a, rows.start, &mut bc, &mut bv);
                             merge_row(&bc, &bv, delta, &mut mc, &mut mv);
-                            for_each_line_block(&mc, &mv, &mut scratch, |blk, block| {
-                                let col = blk * b0;
-                                let nb = b0.min(cols - col);
-                                block_axpy_dense(block, b, col, nb, out);
-                            });
+                            let row = reblock(a, &mc, &mv, &mut blocks, &mut vals);
+                            block_row_tiles(row, b, out);
                         }
                     }
                 });
             }
         }
+    }
+}
+
+/// Blocks one merged row of `a` exactly as encoding it would (the
+/// encoder's own line blocker), into the reused `blocks`/`vals` buffers.
+fn reblock<'a, T: Scalar>(
+    a: &SmashMatrix<T>,
+    cols: &[u32],
+    values: &[T],
+    blocks: &'a mut Vec<u32>,
+    vals: &'a mut Vec<T>,
+) -> BlockRow<'a, T> {
+    let b0 = a.config().block_size();
+    blocks.clear();
+    vals.clear();
+    let mut scratch = vec![T::ZERO; b0];
+    for_each_line_block(cols, values, &mut scratch, |blk, block| {
+        blocks.push(blk as u32);
+        vals.extend_from_slice(block);
+    });
+    BlockRow {
+        blocks,
+        b0,
+        vals,
+        cols: a.cols(),
     }
 }
 

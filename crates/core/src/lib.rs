@@ -57,4 +57,4 @@ pub use error::SmashError;
 pub use hierarchy::{BitmapHierarchy, Blocks, Visit, Visits};
 pub use nza::Nza;
 pub use rank_select::{RankIndex, SUPERBLOCK_BITS};
-pub use smash_matrix::{block_axpy_dense, block_dot, BitBlocks, SmashMatrix};
+pub use smash_matrix::{BitBlocks, SmashMatrix};

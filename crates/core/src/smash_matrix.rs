@@ -1,5 +1,7 @@
+use crate::directory::FragmentSink;
 use crate::{Bitmap, BitmapHierarchy, Layout, LineDirectory, Nza, SmashConfig, SmashError};
-use smash_matrix::{Coo, Csr, Dense, RowRead, Scalar};
+use smash_matrix::simd::{fold_stripes, BlockRow};
+use smash_matrix::{block_row_tiles, Coo, Csr, Dense, RowRead, Scalar};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Invokes `f(local_block_index, block_values)` for each occupied block of
@@ -75,56 +77,6 @@ impl<T: Scalar> BitBlocks<T> {
     pub fn finish(self) -> (Vec<usize>, Vec<T>) {
         (self.bits, self.vals)
     }
-}
-
-/// Dot product of one NZA block against `n` contiguous elements of `x`
-/// starting at `col`, accumulated in the lane-striped order of
-/// `smash_matrix::simd` by whichever ISA body is active (AVX2, SSE4.2, or
-/// the scalar emulation of the same order).
-///
-/// This is the per-block body of every SMASH SpMV path: the
-/// [`RowRead`] granule body of [`SmashMatrix`] calls it for each block
-/// that [`SmashMatrix::for_each_block_in`] yields, and both the serial
-/// driver (`smash_matrix::spmv_rows`) and the parallel row-range driver
-/// (`smash_parallel::par_spmv_rows`) run that granule body, so their
-/// arithmetic order can never diverge and parallel output stays
-/// bit-identical to serial at every precision and under every ISA tier.
-///
-/// # Example
-///
-/// ```
-/// use smash_core::block_dot;
-///
-/// let block = [2.0f64, 3.0];
-/// let x = [1.0, 10.0, 100.0, 1000.0];
-/// assert_eq!(block_dot(&block, &x, 2, 2), 2.0 * 100.0 + 3.0 * 1000.0);
-/// ```
-#[inline]
-pub fn block_dot<T: Scalar>(block: &[T], x: &[T], col: usize, n: usize) -> T {
-    T::simd_dot_contiguous(&block[..n], &x[col..col + n])
-}
-
-/// Multiplies one NZA block (logical columns `col..col + n`) against every
-/// column of the dense right-hand-side batch `b`, accumulating into the
-/// output row `out` (`out[j] += Σ_k block[k] * b[col + k][j]`).
-///
-/// This is the per-block body of every *batched* SMASH SpMM path: the
-/// serial driver `smash_matrix::spmm_dense_rows` and the parallel
-/// `smash_parallel::par_spmm_dense_rows` both call it over SMASH, so their
-/// arithmetic order can never diverge. The columns of `b` are processed in
-/// register-blocked tiles of width 8/4/1; within a tile each column
-/// follows exactly the lane-striped order of [`block_dot`], so column `j`
-/// of the batched result is bit-identical to a SMASH SpMV against column
-/// `j` alone, under every `smash_matrix::simd` ISA tier.
-///
-/// # Panics
-///
-/// Panics if `out.len() != b.cols()`, `n > block.len()`, or
-/// `col + n > b.rows()`.
-#[inline]
-pub fn block_axpy_dense<T: Scalar>(block: &[T], b: &Dense<T>, col: usize, n: usize, out: &mut [T]) {
-    assert!(n <= block.len(), "n must not exceed the block length");
-    smash_matrix::axpy_dense_tiles(&block[..n], b, col, out);
 }
 
 /// A sparse matrix compressed with the SMASH encoding: a hierarchy of
@@ -551,12 +503,14 @@ impl<T: Scalar> SmashMatrix<T> {
     /// ordinal. For a row-major matrix `(line, offset)` is the block's
     /// `(row, col)`; for column-major it is `(col, row)`.
     ///
-    /// This is *the* SMASH decode — the software BMU. Every kernel that
-    /// reads the compressed form (the [`RowRead`] granule bodies, the
-    /// SpMM merge operands, [`decode`](Self::decode)) walks through it.
-    /// One O(levels) seek positions a cursor per bitmap level; the walk
-    /// then descends top-down, scanning only the child group of each set
-    /// parent bit with word loads and count-trailing-zeros. It never
+    /// This is the per-block view of *the* SMASH decode — the software
+    /// BMU's group walk, which hands out a line's level-0 bits a word
+    /// piece at a time. The [`RowRead`] granule bodies consume those
+    /// pieces directly; the SpMM merge operands and
+    /// [`decode`](Self::decode) take them a block at a time through
+    /// here. One O(levels) seek positions a cursor per bitmap level; the
+    /// walk then descends top-down, scanning only the child group of each
+    /// set parent bit with word loads and count-trailing-zeros. It never
     /// selects, never divides per block, never allocates and never
     /// expands a bitmap.
     ///
@@ -759,10 +713,11 @@ impl<T: Scalar> SmashMatrix<T> {
 /// The row-operand view of a row-major SMASH matrix: one granule per row
 /// line, weighted by the line's occupied-block count (straight out of the
 /// [`LineDirectory`], no rank scans). Each granule-range body makes one
-/// [`SmashMatrix::for_each_block_in`] walk over its rows and runs the
-/// shared [`block_dot`] / [`block_axpy_dense`] per-block routines in
-/// block order, so a range cut anywhere computes every row exactly as
-/// the uncut serial sweep does.
+/// group walk over its rows and accumulates every row in the
+/// row-striped order of `smash_matrix::simd` (the element at column `c`
+/// into stripe `c % T::LANES`, one fold per row), so a range cut anywhere
+/// computes every row exactly as the uncut serial sweep does, and the
+/// result does not depend on the ratio vector.
 ///
 /// # Panics
 ///
@@ -816,41 +771,209 @@ impl<T: Scalar> RowRead<T> for SmashMatrix<T> {
 
     fn spmv_granules(&self, g: std::ops::Range<usize>, x: &[T], y: &mut [T]) {
         assert_eq!(self.config.layout(), Layout::RowMajor, "row-major SpMV");
-        let b0 = self.config.block_size();
-        let cols = self.cols;
-        let nza = self.nza().values();
         y.fill(T::ZERO);
-        if g.is_empty() {
-            return;
+        // Block-size specialization: a constant `B0` makes every stripe
+        // index constant, so the stripes live in registers.
+        match self.config.block_size() {
+            1 => self.spmv_striped::<1>(g, x, y),
+            2 => self.spmv_striped::<2>(g, x, y),
+            4 => self.spmv_striped::<4>(g, x, y),
+            8 => self.spmv_striped::<8>(g, x, y),
+            _ => self.spmv_striped::<0>(g, x, y),
         }
-        // One register accumulator per row, stored when the walk moves on;
-        // rows without blocks keep the zero fill.
-        let (mut row, mut acc) = (g.start, T::ZERO);
-        self.for_each_block_in(g.clone(), |r, col, ordinal| {
-            if r != row {
-                y[row - g.start] = acc;
-                (row, acc) = (r, T::ZERO);
-            }
-            let block = &nza[ordinal * b0..(ordinal + 1) * b0];
-            // The shared per-block body of every SMASH SpMV.
-            acc += block_dot(block, x, col, b0.min(cols - col));
-        });
-        y[row - g.start] = acc;
     }
 
     fn spmm_dense_granules(&self, g: std::ops::Range<usize>, b: &Dense<T>, c: &mut [T]) {
         assert_eq!(self.config.layout(), Layout::RowMajor, "row-major SpMM");
         let n = b.cols();
         let b0 = self.config.block_size();
-        let cols = self.cols;
-        let nza = self.nza().values();
+        let (starts, nza) = (self.line_block_starts(), self.nza.values());
         c.fill(T::ZERO);
-        self.for_each_block_in(g.clone(), |row, col, ordinal| {
+        // One row's block indices, gathered from the walk; its values are
+        // the row's contiguous NZA slab.
+        let mut blocks = Vec::new();
+        let mut flush = |row: usize, blocks: &mut Vec<u32>| {
+            if blocks.is_empty() {
+                return;
+            }
+            let s = starts[row] as usize;
+            let row_view = BlockRow {
+                blocks,
+                b0,
+                vals: &nza[s * b0..(s + blocks.len()) * b0],
+                cols: self.cols,
+            };
             let out = &mut c[(row - g.start) * n..(row - g.start + 1) * n];
-            let block = &nza[ordinal * b0..(ordinal + 1) * b0];
-            // The shared per-block body of every batched SMASH SpMM.
-            block_axpy_dense(block, b, col, b0.min(cols - col), out);
-        });
+            block_row_tiles(row_view, b, out);
+            blocks.clear();
+        };
+        let mut row = g.start;
+        let mut gather = |line, first: usize, mut mask: u64, mut ordinal| {
+            if line != row {
+                flush(row, &mut blocks);
+                row = line;
+            }
+            while mask != 0 {
+                blocks.push((first + mask.trailing_zeros() as usize) as u32);
+                ordinal += 1;
+                mask &= mask - 1;
+            }
+            ordinal
+        };
+        self.directory
+            .for_each_group_in(&self.hierarchy, g.clone(), &mut gather);
+        flush(row, &mut blocks);
+    }
+}
+
+impl<T: Scalar> SmashMatrix<T> {
+    /// The SMASH SpMV over the rows `g` (into the zero-filled `y`): one
+    /// group walk feeding the row-striped [`StripedSpmv`] body.
+    #[inline(always)]
+    fn spmv_striped<const B0: usize>(&self, g: std::ops::Range<usize>, x: &[T], y: &mut [T]) {
+        let b0 = self.config.block_size();
+        let mut body = StripedSpmv::<T, B0> {
+            x,
+            nza: self.nza.values(),
+            y,
+            first_row: g.start,
+            cols: self.cols,
+            b0,
+            full: self.cols / b0,
+            row: g.start,
+            acc: [T::ZERO; 8],
+        };
+        self.directory
+            .for_each_group_in(&self.hierarchy, g.clone(), &mut body);
+        if !g.is_empty() {
+            body.finish_row();
+        }
+    }
+}
+
+/// The SMASH SpMV row body, in the row-striped order: the element at
+/// column `c` adds into stripe `c % T::LANES`, the stripes stay in
+/// registers across a row's fragments, and they fold pairwise once per
+/// row. Rows without blocks keep the zero fill of `y`.
+///
+/// With a constant power-of-two `B0` every stripe index is a constant:
+/// an aligned window of `T::LANES` columns holds `T::LANES / B0` blocks
+/// (one when `B0 >= T::LANES`), and a block's first element sits in
+/// stripe `(block % slots) * B0`. `B0 = 0` runs any block size with
+/// stripe indices computed per element.
+struct StripedSpmv<'a, T, const B0: usize> {
+    x: &'a [T],
+    nza: &'a [T],
+    y: &'a mut [T],
+    /// The row `y[0]` holds.
+    first_row: usize,
+    cols: usize,
+    b0: usize,
+    /// Blocks before `full` lie wholly inside the row.
+    full: usize,
+    /// The row the stripes `acc` accumulate.
+    row: usize,
+    acc: [T; 8],
+}
+
+impl<T: Scalar, const B0: usize> StripedSpmv<'_, T, B0> {
+    /// Blocks per aligned window of `T::LANES` columns (one when `B0` is
+    /// `0` or at least `T::LANES`).
+    const SLOTS: usize = if B0 == 0 || B0 >= T::LANES {
+        1
+    } else {
+        T::LANES / B0
+    };
+
+    /// Adds stored block `blk` (NZA ordinal `ordinal`) into the stripes.
+    /// With a constant `B0` element `e` of the block in slot `j` of its
+    /// window lands in stripe `(j * B0 + e) % T::LANES`; every slot but the
+    /// block's own adds -0.0, the exact additive identity, so no branch
+    /// picks the slot.
+    #[inline(always)]
+    fn block(&mut self, blk: usize, ordinal: usize) {
+        let lanes = T::LANES;
+        let b0 = if B0 == 0 { self.b0 } else { B0 };
+        let col = blk * b0;
+        let v = &self.nza[ordinal * b0..(ordinal + 1) * b0];
+        if B0 == 0 {
+            for (e, &ve) in v.iter().enumerate().take(self.cols - col) {
+                self.acc[(col + e) % lanes] += ve * self.x[col + e];
+            }
+            return;
+        }
+        let slot = blk % Self::SLOTS;
+        if blk < self.full {
+            let xs = &self.x[col..col + B0];
+            for j in 0..Self::SLOTS {
+                for e in 0..B0 {
+                    let p = if j == slot { v[e] * xs[e] } else { -T::ZERO };
+                    self.acc[(j * B0 + e) % lanes] += p;
+                }
+            }
+        } else {
+            // The row's last block, cut short by the last column.
+            for j in 0..Self::SLOTS {
+                for (e, &ve) in v.iter().enumerate() {
+                    if j == slot && col + e < self.cols {
+                        self.acc[(j * B0 + e) % lanes] += ve * self.x[col + e];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Adds the window-aligned run of `SLOTS` stored blocks from `blk`
+    /// (NZA ordinals from `ordinal`), all before the last column:
+    /// `T::LANES` contiguous values against `T::LANES` contiguous `x`, one
+    /// per stripe.
+    #[inline(always)]
+    fn window(&mut self, blk: usize, ordinal: usize) {
+        let (col, lanes) = (blk * B0, T::LANES);
+        let v = &self.nza[ordinal * B0..ordinal * B0 + lanes];
+        let xs = &self.x[col..col + lanes];
+        for l in 0..lanes {
+            self.acc[l] += v[l] * xs[l];
+        }
+    }
+
+    /// Folds the finished row into `y`.
+    #[inline(always)]
+    fn finish_row(&mut self) {
+        self.y[self.row - self.first_row] = fold_stripes(self.acc);
+    }
+}
+
+impl<T: Scalar, const B0: usize> FragmentSink for StripedSpmv<'_, T, B0> {
+    #[inline(always)]
+    fn fragment(&mut self, line: usize, first: usize, mask: u64, mut ordinal: usize) -> usize {
+        if line != self.row {
+            self.finish_row();
+            (self.row, self.acc) = (line, [T::ZERO; 8]);
+        }
+        if Self::SLOTS > 1 && mask & mask.wrapping_add(1) == 0 {
+            // A run of consecutive blocks: its whole aligned windows go a
+            // window at a time.
+            let end = first + 64 - mask.leading_zeros() as usize;
+            let mut blk = first;
+            while blk < end {
+                if blk.is_multiple_of(Self::SLOTS) && blk + Self::SLOTS <= end.min(self.full) {
+                    self.window(blk, ordinal);
+                    (blk, ordinal) = (blk + Self::SLOTS, ordinal + Self::SLOTS);
+                } else {
+                    self.block(blk, ordinal);
+                    (blk, ordinal) = (blk + 1, ordinal + 1);
+                }
+            }
+            return ordinal;
+        }
+        let mut m = mask;
+        while m != 0 {
+            self.block(first + m.trailing_zeros() as usize, ordinal);
+            ordinal += 1;
+            m &= m - 1;
+        }
+        ordinal
     }
 }
 

@@ -128,10 +128,10 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         "measured bound: SW-SMASH SpMV decodes a flat [2] bitmap (one bit \
          per 2 columns of every row, empty regions included); walking it \
          alone, with no multiply, costs {:.2}x CSR's whole SpMV, {:.0}% of \
-         SW-SMASH SpMV time; the rest is one 2-wide block dot per stored \
-         block, {:.2} of whose values are non-zero (geomeans over the \
-         suite); the simulator experiments (Figs. 10-13) carry the \
-         co-design comparison",
+         SW-SMASH SpMV time; the rest multiplies each stored 2-wide block \
+         into the row's stripes, {:.2} of whose values are non-zero \
+         (geomeans over the suite); the simulator experiments (Figs. \
+         10-13) carry the co-design comparison",
         geomean(&scan_vs_csr),
         100.0 * geomean(&scan_share),
         geomean(&fill),

@@ -5,10 +5,10 @@
 
 use crate::common::{test_vector, Mechanism};
 use crate::executor::Executor;
-use crate::{spmdm, spmm, spmv};
+use crate::{spmm, spmv};
 use smash_bmu::Bmu;
 use smash_core::{SmashConfig, SmashMatrix};
-use smash_matrix::{Bcsr, Coo, Csr, Dense, Scalar};
+use smash_matrix::{Bcsr, Coo, Csr, Scalar};
 use smash_sim::{CountEngine, Engine, SimEngine, SimStats, SystemConfig};
 
 /// Block shape (rows = columns) of the TACO-BCSR baseline: every BCSR
@@ -110,68 +110,6 @@ pub fn run_spmm<E: Engine, T: Scalar>(
     }
 }
 
-/// Runs the *native* (wall-clock, uninstrumented) batched sparse × dense
-/// SpMM of `mech` through the [`Executor`]: the harness builds the
-/// mechanism's operand encoding and the executor picks the serial or
-/// parallel column-tiled kernel. `IdealCsr` maps to the plain CSR kernel
-/// (free position discovery is a simulation idealization with no native
-/// counterpart).
-///
-/// # Panics
-///
-/// Panics if `b.rows() != a.cols()`, `c.rows() != a.rows()`, or
-/// `c.cols() != b.cols()`.
-pub fn native_spmm_dense<T: Scalar>(
-    exec: &Executor,
-    mech: Mechanism,
-    a: &Csr<T>,
-    cfg: &SmashConfig,
-    b: &Dense<T>,
-    c: &mut Dense<T>,
-) {
-    match mech {
-        Mechanism::TacoCsr | Mechanism::IdealCsr => exec.spmm_dense(a, b, c),
-        Mechanism::TacoBcsr => {
-            let blocked = Bcsr::from_csr(a, BCSR_BLOCK, BCSR_BLOCK).expect("non-zero block");
-            exec.spmm_dense(&blocked, b, c);
-        }
-        Mechanism::SwSmash | Mechanism::Smash => {
-            let sm = exec.encode(a, cfg.clone());
-            exec.spmm_dense(&sm, b, c);
-        }
-    }
-}
-
-/// Runs the instrumented batched sparse × dense SpMM of `mech` on the
-/// given engine and returns the product. `cfg` selects the bitmap
-/// hierarchy for the SMASH mechanisms. The result is bit-identical to the
-/// native `spmm_dense_*` kernel of the same mechanism.
-pub fn run_spmm_dense<E: Engine, T: Scalar>(
-    e: &mut E,
-    mech: Mechanism,
-    a: &Csr<T>,
-    b: &Dense<T>,
-    cfg: &SmashConfig,
-) -> Dense<T> {
-    match mech {
-        Mechanism::TacoCsr => spmdm::spmm_dense_csr(e, a, b),
-        Mechanism::IdealCsr => spmdm::spmm_dense_ideal(e, a, b),
-        Mechanism::TacoBcsr => {
-            let blocked = Bcsr::from_csr(a, BCSR_BLOCK, BCSR_BLOCK).expect("non-zero block");
-            spmdm::spmm_dense_bcsr(e, &blocked, b)
-        }
-        Mechanism::SwSmash => {
-            let sm = SmashMatrix::encode(a, cfg.clone());
-            spmdm::spmm_dense_sw_smash(e, &sm, b)
-        }
-        Mechanism::Smash => {
-            let sm = SmashMatrix::encode(a, cfg.clone());
-            let mut bmu = Bmu::new();
-            spmdm::spmm_dense_hw_smash(e, &mut bmu, 0, &sm, b)
-        }
-    }
-}
-
 /// Full timing simulation of one SpMV (returns the statistics).
 pub fn sim_spmv<T: Scalar>(
     mech: Mechanism,
@@ -269,36 +207,6 @@ mod tests {
                     assert!((g - w).abs() < 1e-9, "{mech}: {g} vs {w}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn all_spmm_dense_mechanisms_agree_through_harness() {
-        let a = generators::uniform(48, 48, 300, 3);
-        let cfg = SmashConfig::row_major(&[2, 4]).unwrap();
-        let mut b = Dense::zeros(48, 9);
-        for (i, v) in test_vector::<f64>(48 * 9).into_iter().enumerate() {
-            b.set(i / 9, i % 9, v);
-        }
-        let want = a.to_dense().matmul(&b).unwrap();
-        let exec = Executor::serial();
-        for mech in Mechanism::ALL {
-            let mut e = CountEngine::new();
-            let c = run_spmm_dense(&mut e, mech, &a, &b, &cfg);
-            let mut cn = Dense::zeros(48, 9);
-            native_spmm_dense(&exec, mech, &a, &cfg, &b, &mut cn);
-            // Instrumented and native paths share their loop bodies:
-            // exact equality.
-            assert_eq!(c, cn, "{mech}");
-            for i in 0..48 {
-                for j in 0..9 {
-                    assert!(
-                        (c.get(i, j) - want.get(i, j)).abs() < 1e-9,
-                        "{mech} ({i},{j})"
-                    );
-                }
-            }
-            assert!(e.finish().instructions() > 0, "{mech}");
         }
     }
 

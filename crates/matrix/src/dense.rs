@@ -1,3 +1,4 @@
+use crate::simd::BlockRow;
 use crate::{MatrixError, Result, Scalar};
 
 /// The register-blocked right-hand-side column-tile schedule shared by
@@ -6,10 +7,8 @@ use crate::{MatrixError, Result, Scalar};
 /// then **4**, then **1**, covering `0..n` exactly once.
 ///
 /// This is the single definition of the tiling — `Csr::row_spmm_dense`,
-/// `Bcsr::block_row_spmm_dense`, `smash_core::block_axpy_dense` and the
-/// instrumented `smash_kernels::spmdm` models all drive their tile loops
-/// through it, so the instruction streams the instrumented kernels charge
-/// can never diverge from the arithmetic the native kernels perform.
+/// `Bcsr::block_row_spmm_dense` and the SMASH row body
+/// ([`block_row_tiles`]) all drive their tile loops through it.
 pub fn for_each_rhs_tile(n: usize, mut f: impl FnMut(usize, usize)) {
     let mut j0 = 0usize;
     while n - j0 >= 8 {
@@ -34,10 +33,10 @@ pub fn for_each_rhs_tile(n: usize, mut f: impl FnMut(usize, usize)) {
 ///
 /// Within each tile every column's partial sums run from zero over `vals`
 /// in the lane-striped order of [`crate::simd`] and are then added into
-/// `out` — the exact per-column order of the corresponding blocked SpMV
-/// bodies, which is what keeps `Bcsr::block_row_spmm_dense` and
-/// `smash_core::block_axpy_dense` (both one call to this) bit-identical
-/// per column to their SpMV twins, under every [`crate::simd`] ISA tier.
+/// `out` — the exact per-column order of the BCSR SpMV body, which is what
+/// keeps `Bcsr::block_row_spmm_dense` (one call to this per block row)
+/// bit-identical per column to its SpMV twin, under every [`crate::simd`]
+/// ISA tier.
 ///
 /// # Panics
 ///
@@ -47,6 +46,42 @@ pub fn axpy_dense_tiles<T: Scalar>(vals: &[T], b: &Dense<T>, cbase: usize, out: 
     let n = b.cols();
     for_each_rhs_tile(n, |j0, w| {
         T::simd_axpy_tile(vals, b.as_slice(), n, cbase, j0, w, out)
+    });
+}
+
+/// The batched SMASH row body: multiplies one blocked row against every
+/// column of `b`, **assigning** the output row `out`, tiled through
+/// [`for_each_rhs_tile`]. Each tile runs the row-striped order of
+/// [`crate::simd`] per column (the element at column `c` into stripe
+/// `c % T::LANES`, one fold per row), so column `j` of the result is
+/// bit-identical to the SMASH SpMV of the row against column `j` alone,
+/// under every ISA tier.
+///
+/// # Panics
+///
+/// Panics if `out.len() != b.cols()` or a block column reaches past
+/// `b.rows()`.
+///
+/// # Example
+///
+/// ```
+/// use smash_matrix::simd::BlockRow;
+/// use smash_matrix::{block_row_tiles, Dense};
+///
+/// // Two 2-wide blocks: block 1 covers columns 2 and 3, block 3 covers
+/// // column 6 (its second slot, column 7, lies past the last column).
+/// let row = BlockRow { blocks: &[1, 3], b0: 2, vals: &[2.0f64, 3.0, 4.0, 9.0], cols: 7 };
+/// let b = Dense::from_vec(7, 1, vec![0.0, 0.0, 100.0, 1000.0, 0.0, 0.0, 10.0])?;
+/// let mut out = [0.0];
+/// block_row_tiles(row, &b, &mut out);
+/// assert_eq!(out[0], 2.0 * 100.0 + 3.0 * 1000.0 + 4.0 * 10.0);
+/// # Ok::<(), smash_matrix::MatrixError>(())
+/// ```
+pub fn block_row_tiles<T: Scalar>(row: BlockRow<'_, T>, b: &Dense<T>, out: &mut [T]) {
+    assert_eq!(out.len(), b.cols(), "output row length must equal b.cols()");
+    let n = b.cols();
+    for_each_rhs_tile(n, |j0, w| {
+        T::simd_block_row_tile(row, b.as_slice(), n, j0, w, out)
     });
 }
 

@@ -44,7 +44,7 @@ pub use bcsr::Bcsr;
 pub use coo::Coo;
 pub use csc::Csc;
 pub use csr::{Csr, CsrBuilder};
-pub use dense::{axpy_dense_tiles, for_each_rhs_tile, Dense};
+pub use dense::{axpy_dense_tiles, block_row_tiles, for_each_rhs_tile, Dense};
 pub use error::MatrixError;
 pub use rowread::{spmm_dense_rows, spmv_rows, RowRead};
 pub use scalar::Scalar;

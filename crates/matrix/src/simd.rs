@@ -1,12 +1,23 @@
 //! Runtime-dispatched SIMD bodies for the hot-path reductions.
 //!
-//! This module is the **single definition** of the accumulation order used by
-//! every hot kernel loop in the workspace: [`crate::Csr::row_dot`], the BCSR
-//! block dots, `smash_core::block_dot`, and the 8/4/1-wide RHS column tiles
-//! driven by [`crate::for_each_rhs_tile`]. Three implementations of that one
-//! order exist — AVX2, SSE4.2, and a portable scalar emulation — selected at
-//! runtime by [`active`] from CPU feature detection, the `SMASH_SIMD`
-//! environment variable, and an in-process test override.
+//! This module is the **single definition** of the accumulation orders used
+//! by every hot kernel loop in the workspace:
+//!
+//! * the *lane-striped* order of [`crate::Csr::row_dot`], the BCSR block
+//!   dots, and the 8/4/1-wide CSR and BCSR RHS column tiles driven by
+//!   [`crate::for_each_rhs_tile`];
+//! * the *row-striped* order of every SMASH row: the SMASH SpMV row body
+//!   in `smash_core` (which applies it to the fragments of the bitmap
+//!   walk, in portable code) and the blocked-row tiles
+//!   [`SimdElem::simd_block_row_tile`] behind [`crate::block_row_tiles`],
+//!   which serve the batched SMASH SpMM and the merged rows of a dynamic
+//!   SMASH matrix.
+//!
+//! Every body here has three implementations — AVX2, SSE4.2, and a
+//! portable scalar emulation — selected at runtime by [`active`] from CPU
+//! feature detection, the `SMASH_SIMD` environment variable, and an
+//! in-process test override. The SMASH SpMV row body is one portable body
+//! that every tier runs.
 //!
 //! # The lane-striped contract
 //!
@@ -38,6 +49,28 @@
 //! Because the *scalar* body emulates the same stripe/fold order, any
 //! supported ISA can be compared against any other with exact `==` at any
 //! thread count — which is exactly what `tests/simd_identity.rs` pins.
+//!
+//! # The row-striped SMASH order
+//!
+//! A SMASH row is a run of stored blocks, `b0` values each, at columns
+//! the bitmap walk discovers. Its order stripes by *column*, not by term:
+//!
+//! 1. **Striping.** The element at column `c` — each stored value,
+//!    padding zeros inside a block included — adds `value * x[c]` into
+//!    stripe `s[c % L]`, in increasing column order, with the same `L` as
+//!    above. The stripes start at zero once per row and are carried
+//!    across all of the row's blocks.
+//! 2. **Fold.** Once per row, the same pairwise halving as above
+//!    ([`fold_stripes`]).
+//! 3. **No FMA**, as above.
+//!
+//! A batched SpMM applies this per output column, so column `j` of a
+//! SMASH `spmm_dense` equals the SMASH SpMV against column `j` of the
+//! right-hand side. Because the order names columns, never blocks, the
+//! result does not depend on the ratio vector: every hierarchy over the
+//! same matrix gives the same bits up to the sign of a zero (padding
+//! zeros add `±0`), which is what lets a planner choose the hierarchy per
+//! matrix. `tests/smash_order.rs` pins the order against a CSR oracle.
 //!
 //! The fused references (`Csr::spmv`, `Bcsr::spmv`, `Dense::spmv`,
 //! `Dense::matmul`) intentionally keep their simple serial `mul_add` order;
@@ -263,6 +296,56 @@ pub trait SimdElem: Copy + Sized + 'static {
         w: usize,
         out: &mut [Self],
     );
+
+    /// Blocked (SMASH) row × dense-RHS column tile in the **row-striped**
+    /// order, **assigning** `out[j0 + c]` for `c < w` (`w` ≤ 8): every
+    /// element of `row`, at column `col`, adds
+    /// `value * bdata[col * stride + j0 + c]` into stripe `col % LANES`,
+    /// and the stripes fold once for the row (see the module docs). With
+    /// `stride = 1`, `j0 = 0`, `w = 1` and `bdata = x` this is the SMASH
+    /// SpMV of one row. Panics via slice indexing when a row or the tile
+    /// range is out of bounds for `bdata`.
+    fn simd_block_row_tile(
+        row: BlockRow<'_, Self>,
+        bdata: &[Self],
+        stride: usize,
+        j0: usize,
+        w: usize,
+        out: &mut [Self],
+    );
+}
+
+/// One row of a blocked operand (a SMASH line) as the row-striped bodies
+/// read it: block `blocks[k]` covers columns `blocks[k] * b0 ..` and holds
+/// the values `vals[k * b0..(k + 1) * b0]`.
+#[derive(Clone, Copy, Debug)]
+pub struct BlockRow<'a, T> {
+    /// Block indices within the row, strictly ascending.
+    pub blocks: &'a [u32],
+    /// Elements per block.
+    pub b0: usize,
+    /// The blocks' values, `b0` to a block, zero-padded as stored.
+    pub vals: &'a [T],
+    /// Columns of the row; elements at or past it (the padding of a last,
+    /// partial block) are skipped.
+    pub cols: usize,
+}
+
+/// Step 2 of the contract for the row-striped SMASH bodies: the
+/// pairwise-halving fold of the first `T::LANES` slots of `s` (the rest
+/// are unused).
+#[inline(always)]
+pub fn fold_stripes<T: crate::Scalar>(mut s: [T; 8]) -> T {
+    let mut width = T::LANES;
+    while width > 1 {
+        let half = width / 2;
+        for l in 0..half {
+            let v = s[l + half];
+            s[l] += v;
+        }
+        width = half;
+    }
+    s[0]
 }
 
 /// Minimal arithmetic bound for the private scalar contract bodies.
@@ -383,12 +466,113 @@ fn axpy_tile_striped<T: Lane, const L: usize>(
     }
 }
 
+/// Scalar emulation of the row-striped block-row tile (assigns
+/// `out[j0..j0+w]`); stripe indices are computed per element, so this
+/// body serves every block size.
+fn block_row_tile_striped<T: Lane, const L: usize>(
+    row: BlockRow<'_, T>,
+    bdata: &[T],
+    stride: usize,
+    j0: usize,
+    w: usize,
+    out: &mut [T],
+) {
+    let b0 = row.b0;
+    let mut acc = [[T::default(); 8]; L];
+    for (k, &blk) in row.blocks.iter().enumerate() {
+        let col = blk as usize * b0;
+        let n = b0.min(row.cols.saturating_sub(col));
+        for (e, &v) in row.vals[k * b0..k * b0 + n].iter().enumerate() {
+            let base = (col + e) * stride + j0;
+            for (a, &bv) in acc[(col + e) % L][..w]
+                .iter_mut()
+                .zip(&bdata[base..base + w])
+            {
+                *a += v * bv;
+            }
+        }
+    }
+    fold_tile(&mut acc, w);
+    out[j0..j0 + w].copy_from_slice(&acc[0][..w]);
+}
+
+/// Runs `$term!(lane, value, column)` for every element of the
+/// [`BlockRow`] `$row` in column order, with `lane = column % $l` a
+/// compile-time constant: `$b0` is a constant power of two, and the blocks
+/// are taken an aligned window of `$l` columns at a time — `$l / $b0`
+/// block slots per window (one when `$b0 >= $l`), each slot with its own
+/// constant lanes. That is what keeps the vector bodies' stripes in
+/// registers across the whole row.
+#[cfg(target_arch = "x86_64")]
+macro_rules! striped_row_terms {
+    ($row:expr, $b0:expr, $l:expr, $term:ident) => {{
+        let row = $row;
+        let slots: usize = if $b0 >= $l { 1 } else { $l / $b0 };
+        // Blocks before `full` lie wholly inside the row.
+        let full = row.cols / $b0;
+        let mut k = 0usize;
+        while k < row.blocks.len() {
+            let wb = row.blocks[k] as usize / slots * slots;
+            striped_slot!(0, slots, k, wb, row, full, $b0, $l, $term);
+            striped_slot!(1, slots, k, wb, row, full, $b0, $l, $term);
+            striped_slot!(2, slots, k, wb, row, full, $b0, $l, $term);
+            striped_slot!(3, slots, k, wb, row, full, $b0, $l, $term);
+            striped_slot!(4, slots, k, wb, row, full, $b0, $l, $term);
+            striped_slot!(5, slots, k, wb, row, full, $b0, $l, $term);
+            striped_slot!(6, slots, k, wb, row, full, $b0, $l, $term);
+            striped_slot!(7, slots, k, wb, row, full, $b0, $l, $term);
+        }
+    }};
+}
+
+/// Slot `$j` of the window starting at block `$wb`: when the row's next
+/// block `$k` is that slot, runs its elements through `$term!` at lanes
+/// `$j * $b0 + e` and steps `$k`.
+#[cfg(target_arch = "x86_64")]
+macro_rules! striped_slot {
+    ($j:expr, $slots:ident, $k:ident, $wb:ident, $row:ident, $full:ident,
+     $b0:expr, $l:expr, $term:ident) => {
+        if $j < $slots && $k < $row.blocks.len() && $row.blocks[$k] as usize == $wb + $j {
+            let col = ($wb + $j) * $b0;
+            let v = &$row.vals[$k * $b0..($k + 1) * $b0];
+            if $wb + $j < $full {
+                for e in 0..$b0 {
+                    $term!(($j * $b0 + e) % $l, v[e], col + e);
+                }
+            } else {
+                for e in 0..$b0 {
+                    if col + e < $row.cols {
+                        $term!(($j * $b0 + e) % $l, v[e], col + e);
+                    }
+                }
+            }
+            $k += 1;
+        }
+    };
+}
+
+/// Calls the const-`B0` body `$f` for the block sizes the vector tiers
+/// specialize (1, 2, 4, 8).
+#[cfg(target_arch = "x86_64")]
+macro_rules! by_block_size {
+    ($b0:expr, $f:ident, $($arg:expr),*) => {
+        match $b0 {
+            1 => $f::<1>($($arg),*),
+            2 => $f::<2>($($arg),*),
+            4 => $f::<4>($($arg),*),
+            8 => $f::<8>($($arg),*),
+            _ => unreachable!("block size without a vector body"),
+        }
+    };
+}
+
 macro_rules! impl_simd_elem {
     ($t:ty, $lanes:expr,
      $dot_idx_avx2:ident, $dot_idx_sse42:ident,
      $dot_seq_avx2:ident, $dot_seq_sse42:ident,
      $row8_avx2:ident, $row4_sse42:ident,
-     $axpy8_avx2:ident, $axpy4_sse42:ident) => {
+     $axpy8_avx2:ident, $axpy4_sse42:ident,
+     $brow8_avx2:ident, $brow4_sse42:ident) => {
         impl SimdElem for $t {
             const LANES: usize = $lanes;
 
@@ -414,7 +598,7 @@ macro_rules! impl_simd_elem {
 
             #[inline]
             fn simd_dot_contiguous(a: &[Self], b: &[Self]) -> Self {
-                // Same short-dot cutoff as `simd_dot_indexed`; SMASH block
+                // Same short-dot cutoff as `simd_dot_indexed`; BCSR block
                 // dots are often only a few elements long.
                 #[cfg(target_arch = "x86_64")]
                 if a.len() >= 2 * $lanes {
@@ -516,6 +700,57 @@ macro_rules! impl_simd_elem {
                 }
                 axpy_tile_striped::<$t, $lanes>(vals, bdata, stride, cbase, j0, w, out)
             }
+
+            fn simd_block_row_tile(
+                row: BlockRow<'_, Self>,
+                bdata: &[Self],
+                stride: usize,
+                j0: usize,
+                w: usize,
+                out: &mut [Self],
+            ) {
+                // Block-size specialization: a constant `B0` makes every
+                // stripe index constant. Other block sizes run the scalar
+                // body, which computes the same bits.
+                #[cfg(target_arch = "x86_64")]
+                if matches!(row.b0, 1 | 2 | 4 | 8) {
+                    use x86::{$brow4_sse42, $brow8_avx2};
+                    match (active(), w) {
+                        (Isa::Avx2, 8) => {
+                            // SAFETY: tier feature-checked by `active()`.
+                            return unsafe {
+                                by_block_size!(row.b0, $brow8_avx2, row, bdata, stride, j0, out)
+                            };
+                        }
+                        (Isa::Avx2 | Isa::Sse42, 4) => {
+                            // SAFETY: tier feature-checked by `active()`;
+                            // avx2 implies sse4.2.
+                            return unsafe {
+                                by_block_size!(row.b0, $brow4_sse42, row, bdata, stride, j0, out)
+                            };
+                        }
+                        (Isa::Sse42, 8) => {
+                            // Two w = 4 halves: columns never interact.
+                            // SAFETY: tier feature-checked by `active()`.
+                            unsafe {
+                                by_block_size!(row.b0, $brow4_sse42, row, bdata, stride, j0, out);
+                                by_block_size!(
+                                    row.b0,
+                                    $brow4_sse42,
+                                    row,
+                                    bdata,
+                                    stride,
+                                    j0 + 4,
+                                    out
+                                );
+                            }
+                            return;
+                        }
+                        _ => {}
+                    }
+                }
+                block_row_tile_striped::<$t, $lanes>(row, bdata, stride, j0, w, out)
+            }
         }
     };
 }
@@ -530,7 +765,9 @@ impl_simd_elem!(
     row_tile8_f32_avx2,
     row_tile4_f32_sse42,
     axpy_tile8_f32_avx2,
-    axpy_tile4_f32_sse42
+    axpy_tile4_f32_sse42,
+    block_row_tile8_f32_avx2,
+    block_row_tile4_f32_sse42
 );
 impl_simd_elem!(
     f64,
@@ -542,7 +779,9 @@ impl_simd_elem!(
     row_tile8_f64_avx2,
     row_tile4_f64_sse42,
     axpy_tile8_f64_avx2,
-    axpy_tile4_f64_sse42
+    axpy_tile4_f64_sse42,
+    block_row_tile8_f64_avx2,
+    block_row_tile4_f64_sse42
 );
 
 #[cfg(target_arch = "x86_64")]
@@ -550,6 +789,7 @@ mod x86 {
     //! The vector bodies. Every function here realizes the module-level
     //! lane-striped contract exactly; none of them use FMA.
 
+    use super::BlockRow;
     use core::arch::x86_64::*;
 
     /// Dots: vector-accumulate full-`L` chunks, spill the stripe registers
@@ -1390,6 +1630,151 @@ mod x86 {
         let hi = _mm_add_pd(_mm_loadu_pd(dst.as_ptr().add(2)), s0h);
         _mm_storeu_pd(dst.as_mut_ptr(), lo);
         _mm_storeu_pd(dst.as_mut_ptr().add(2), hi);
+    }
+
+    /// f32 `w = 8` blocked-row tile, AVX2: one `__m256` per stripe (8 ymm
+    /// live across the whole row), element lanes fixed by
+    /// `striped_row_terms!`. Assigns `out[j0..j0+8]`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the CPU supports `avx2`; all memory accesses go
+    /// through bounds-checked slicing.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn block_row_tile8_f32_avx2<const B0: usize>(
+        row: BlockRow<'_, f32>,
+        bdata: &[f32],
+        stride: usize,
+        j0: usize,
+        out: &mut [f32],
+    ) {
+        let mut a = [_mm256_setzero_ps(); 8];
+        macro_rules! term {
+            ($lane:expr, $v:expr, $col:expr) => {{
+                let base = $col * stride + j0;
+                let brow = &bdata[base..base + 8];
+                let prod = _mm256_mul_ps(_mm256_set1_ps($v), _mm256_loadu_ps(brow.as_ptr()));
+                a[$lane] = _mm256_add_ps(a[$lane], prod);
+            }};
+        }
+        striped_row_terms!(row, B0, 8, term);
+        let (a0, a1, a2, a3) = (
+            _mm256_add_ps(a[0], a[4]),
+            _mm256_add_ps(a[1], a[5]),
+            _mm256_add_ps(a[2], a[6]),
+            _mm256_add_ps(a[3], a[7]),
+        );
+        let (a0, a1) = (_mm256_add_ps(a0, a2), _mm256_add_ps(a1, a3));
+        _mm256_storeu_ps(out[j0..j0 + 8].as_mut_ptr(), _mm256_add_ps(a0, a1));
+    }
+
+    /// f64 `w = 8` blocked-row tile, AVX2: 4 stripes × 2 `__m256d` halves
+    /// (columns `j0..j0+4` / `j0+4..j0+8`). Assigns `out[j0..j0+8]`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the CPU supports `avx2`; all memory accesses go
+    /// through bounds-checked slicing.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn block_row_tile8_f64_avx2<const B0: usize>(
+        row: BlockRow<'_, f64>,
+        bdata: &[f64],
+        stride: usize,
+        j0: usize,
+        out: &mut [f64],
+    ) {
+        let mut lo = [_mm256_setzero_pd(); 4];
+        let mut hi = [_mm256_setzero_pd(); 4];
+        macro_rules! term {
+            ($lane:expr, $v:expr, $col:expr) => {{
+                let base = $col * stride + j0;
+                let brow = &bdata[base..base + 8];
+                let vv = _mm256_set1_pd($v);
+                let pl = _mm256_mul_pd(vv, _mm256_loadu_pd(brow.as_ptr()));
+                let ph = _mm256_mul_pd(vv, _mm256_loadu_pd(brow.as_ptr().add(4)));
+                lo[$lane] = _mm256_add_pd(lo[$lane], pl);
+                hi[$lane] = _mm256_add_pd(hi[$lane], ph);
+            }};
+        }
+        striped_row_terms!(row, B0, 4, term);
+        let (l0, l1) = (_mm256_add_pd(lo[0], lo[2]), _mm256_add_pd(lo[1], lo[3]));
+        let (h0, h1) = (_mm256_add_pd(hi[0], hi[2]), _mm256_add_pd(hi[1], hi[3]));
+        let dst = &mut out[j0..j0 + 8];
+        _mm256_storeu_pd(dst.as_mut_ptr(), _mm256_add_pd(l0, l1));
+        _mm256_storeu_pd(dst.as_mut_ptr().add(4), _mm256_add_pd(h0, h1));
+    }
+
+    /// f32 `w = 4` blocked-row tile, SSE4.2: one `__m128` per stripe.
+    /// Also the `w = 4` body under AVX2 and each half of a `w = 8` tile
+    /// under SSE4.2. Assigns `out[j0..j0+4]`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the CPU supports `sse4.2`; all memory accesses go
+    /// through bounds-checked slicing.
+    #[target_feature(enable = "sse4.2")]
+    pub(super) unsafe fn block_row_tile4_f32_sse42<const B0: usize>(
+        row: BlockRow<'_, f32>,
+        bdata: &[f32],
+        stride: usize,
+        j0: usize,
+        out: &mut [f32],
+    ) {
+        let mut a = [_mm_setzero_ps(); 8];
+        macro_rules! term {
+            ($lane:expr, $v:expr, $col:expr) => {{
+                let base = $col * stride + j0;
+                let brow = &bdata[base..base + 4];
+                let prod = _mm_mul_ps(_mm_set1_ps($v), _mm_loadu_ps(brow.as_ptr()));
+                a[$lane] = _mm_add_ps(a[$lane], prod);
+            }};
+        }
+        striped_row_terms!(row, B0, 8, term);
+        let (a0, a1, a2, a3) = (
+            _mm_add_ps(a[0], a[4]),
+            _mm_add_ps(a[1], a[5]),
+            _mm_add_ps(a[2], a[6]),
+            _mm_add_ps(a[3], a[7]),
+        );
+        let (a0, a1) = (_mm_add_ps(a0, a2), _mm_add_ps(a1, a3));
+        _mm_storeu_ps(out[j0..j0 + 4].as_mut_ptr(), _mm_add_ps(a0, a1));
+    }
+
+    /// f64 `w = 4` blocked-row tile, SSE4.2: 4 stripes × 2 `__m128d`
+    /// halves (columns `j0..j0+2` / `j0+2..j0+4`). Assigns
+    /// `out[j0..j0+4]`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the CPU supports `sse4.2`; all memory accesses go
+    /// through bounds-checked slicing.
+    #[target_feature(enable = "sse4.2")]
+    pub(super) unsafe fn block_row_tile4_f64_sse42<const B0: usize>(
+        row: BlockRow<'_, f64>,
+        bdata: &[f64],
+        stride: usize,
+        j0: usize,
+        out: &mut [f64],
+    ) {
+        let mut lo = [_mm_setzero_pd(); 4];
+        let mut hi = [_mm_setzero_pd(); 4];
+        macro_rules! term {
+            ($lane:expr, $v:expr, $col:expr) => {{
+                let base = $col * stride + j0;
+                let brow = &bdata[base..base + 4];
+                let vv = _mm_set1_pd($v);
+                let pl = _mm_mul_pd(vv, _mm_loadu_pd(brow.as_ptr()));
+                let ph = _mm_mul_pd(vv, _mm_loadu_pd(brow.as_ptr().add(2)));
+                lo[$lane] = _mm_add_pd(lo[$lane], pl);
+                hi[$lane] = _mm_add_pd(hi[$lane], ph);
+            }};
+        }
+        striped_row_terms!(row, B0, 4, term);
+        let (l0, l1) = (_mm_add_pd(lo[0], lo[2]), _mm_add_pd(lo[1], lo[3]));
+        let (h0, h1) = (_mm_add_pd(hi[0], hi[2]), _mm_add_pd(hi[1], hi[3]));
+        let dst = &mut out[j0..j0 + 4];
+        _mm_storeu_pd(dst.as_mut_ptr(), _mm_add_pd(l0, l1));
+        _mm_storeu_pd(dst.as_mut_ptr().add(2), _mm_add_pd(h0, h1));
     }
 }
 

@@ -15,7 +15,7 @@ use smash::graph::{pagerank_power, uniform_ranks, Graph, IncrementalPageRank};
 use smash::kernels::native;
 use smash::matrix::{spmm_dense_rows, spmv_rows, Coo, Csr, CsrBuilder, Dense};
 use smash::parallel::{par_spmm_dense_rows, par_spmv_rows, ThreadPool};
-use smash::{Delta, DynamicMatrix, Executor};
+use smash::{Delta, DynamicBase, DynamicMatrix, Executor};
 
 /// One overlay mutation, drawn by proptest.
 #[derive(Debug, Clone, Copy)]
@@ -52,6 +52,30 @@ fn arb_case() -> impl Strategy<Value = (Csr<f64>, Vec<Mutation>)> {
                 .collect();
             (Csr::from_coo(&coo), muts)
         })
+}
+
+/// The same cases on non-integer values, which do not sum exactly in
+/// every order (the integer cases cannot tell two summation orders apart).
+fn arb_real_case() -> impl Strategy<Value = (Csr<f64>, Vec<Mutation>)> {
+    let real = |v: f64| v / 7.0 + 0.1;
+    arb_case().prop_map(move |(base, muts)| {
+        let mut coo = Coo::new(base.rows(), base.cols());
+        for i in 0..base.rows() {
+            let (cols, vals) = base.row(i);
+            for (&c, &v) in cols.iter().zip(vals) {
+                coo.push(i, c as usize, real(v));
+            }
+        }
+        let muts = muts
+            .into_iter()
+            .map(|m| match m {
+                Mutation::Set(i, j, v) => Mutation::Set(i, j, real(v)),
+                Mutation::Add(i, j, v) => Mutation::Add(i, j, real(v)),
+                m => m,
+            })
+            .collect();
+        (Csr::from_coo(&coo), muts)
+    })
 }
 
 /// Applies the script to both the dynamic matrix and a map-based model,
@@ -158,6 +182,59 @@ proptest! {
                 par_spmv_rows(&pool, &dm, &x, &mut got);
                 prop_assert_eq!(&got, &want, "spmv diverged at {} threads", threads);
                 let mut cp = Dense::zeros(base.rows(), 3);
+                par_spmm_dense_rows(&pool, &dm, &b, &mut cp);
+                prop_assert_eq!(&cp, &cw, "spmm diverged at {} threads", threads);
+            }
+        }
+    }
+
+    /// Overlaid SpMV and batched SpMM on non-integer values are
+    /// bit-identical to the merged matrix rebuilt in the base's own format
+    /// (a SMASH base re-encodes with its configuration), serial and at
+    /// thread counts 1, 2 and 8. The merged rows and the untouched rows of
+    /// a SMASH base must therefore share one summation order.
+    #[test]
+    fn overlay_kernels_match_rebuild_on_real_values(
+        case in arb_real_case(),
+        seed in 0u64..1000,
+    ) {
+        let (base, muts) = case;
+        for mut dm in both_bases(&base) {
+            apply(&mut dm, &base, &muts);
+            let merged = dm.merged_csr();
+            let x: Vec<f64> = (0..base.cols())
+                .map(|i| 0.37 + ((i as u64 * 2654435761 + seed) % 17) as f64 / 13.0)
+                .collect();
+            let mut b = Dense::zeros(base.cols(), 13);
+            for i in 0..base.cols() {
+                for j in 0..13 {
+                    b.set(i, j, ((i * 5 + 3 * j) % 11) as f64 / 9.0 - 0.45);
+                }
+            }
+            let (mut want, mut cw) = (vec![0.0; base.rows()], Dense::zeros(base.rows(), 13));
+            match dm.base() {
+                DynamicBase::Csr(_) => {
+                    spmv_rows(&merged, &x, &mut want);
+                    spmm_dense_rows(&merged, &b, &mut cw);
+                }
+                DynamicBase::Smash(a) => {
+                    let rebuilt = SmashMatrix::encode(&merged, a.config().clone());
+                    spmv_rows(&rebuilt, &x, &mut want);
+                    spmm_dense_rows(&rebuilt, &b, &mut cw);
+                }
+            }
+            let mut got = vec![f64::NAN; base.rows()];
+            spmv_rows(&dm, &x, &mut got);
+            prop_assert_eq!(&got, &want);
+            let mut cg = Dense::zeros(base.rows(), 13);
+            spmm_dense_rows(&dm, &b, &mut cg);
+            prop_assert_eq!(&cg, &cw);
+            for threads in [1usize, 2, 8] {
+                let pool = ThreadPool::new(threads);
+                got.fill(f64::NAN);
+                par_spmv_rows(&pool, &dm, &x, &mut got);
+                prop_assert_eq!(&got, &want, "spmv diverged at {} threads", threads);
+                let mut cp = Dense::zeros(base.rows(), 13);
                 par_spmm_dense_rows(&pool, &dm, &b, &mut cp);
                 prop_assert_eq!(&cp, &cw, "spmm diverged at {} threads", threads);
             }
