@@ -64,6 +64,7 @@ pub mod operand;
 pub mod planner;
 pub mod spadd;
 pub mod spgemm;
+pub mod spmdm;
 pub mod spmm;
 pub mod spmv;
 

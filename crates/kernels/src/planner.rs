@@ -944,20 +944,11 @@ impl Planner {
 }
 
 /// The leading tile width the single-definition RHS tile schedule
-/// (`smash_matrix::for_each_rhs_tile`) will use for this request's
-/// batch width: 8, then 4, then scalar columns.
+/// ([`crate::spmdm::rhs_tiles`]) will use for this request's batch
+/// width: 8, then 4, then scalar columns.
 fn lead_tile(req: &PlanRequest) -> usize {
     match req.op {
-        Op::SpmmDense | Op::DynSpmmDense => {
-            let n = req.rhs_cols.max(1);
-            if n >= 8 {
-                8
-            } else if n >= 4 {
-                4
-            } else {
-                1
-            }
-        }
+        Op::SpmmDense | Op::DynSpmmDense => crate::spmdm::rhs_tiles(req.rhs_cols.max(1))[0].1,
         _ => 1,
     }
 }
